@@ -13,7 +13,8 @@ import numpy as np
 
 from repro.graph import random_hetero
 from repro.kernels import TLPGNNKernel
-from repro.models import RGCNLayer, build_rgcn_convs
+from repro.models import functional as F
+from repro.mp import Layer
 
 
 def main() -> None:
@@ -29,16 +30,20 @@ def main() -> None:
         print(f"  {name:>8}: {g.num_edges:>7,} edges, avg degree {g.avg_degree:.1f}")
 
     X = rng.standard_normal((hetero.num_vertices, 32), dtype=np.float32)
-    layer = RGCNLayer.init(hetero, 32, 16, rng)
-    out = layer.forward(hetero, X)
+    w_self = F.xavier_uniform((32, 16), rng)
+    relations = {name: Layer.init("rgcn", 32, 16, rng) for name in hetero.relations}
+    out = F.linear(X, w_self)
+    for name, g in hetero.relations.items():
+        out = out + relations[name].forward(g, X, activation=False)
+    out = F.relu(out)
     print(f"\nR-GCN forward: {X.shape} -> {out.shape}")
 
     # each relation's aggregation is one fused, atomic-free TLPGNN kernel
     kernel = TLPGNNKernel()
     total_ms = 0.0
     print("\nper-relation convolution profiles (one fused kernel each):")
-    for name, workload in build_rgcn_convs(hetero, X).items():
-        res = kernel.execute(workload)
+    for name, g in hetero.relations.items():
+        res = kernel.execute(relations[name].workload(g, X))
         total_ms += res.timing.gpu_seconds * 1e3
         print(
             f"  {name:>8}: {res.timing.gpu_seconds * 1e3:7.4f} ms, "

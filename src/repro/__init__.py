@@ -10,7 +10,8 @@ gpusim      GPU execution model (spec, memory, occupancy, scheduling,
 kernels     Graph-convolution kernels: TLPGNN and the baselines the paper
             profiles (push, edge-centric, pull thread/warp, neighbor-group).
 balance     Hybrid dynamic workload assignment (Section 5).
-models      GCN / GIN / GraphSAGE / GAT conv semantics and layers.
+models      ConvWorkload carrier, functional ops, GCN training (models
+            themselves are repro.mp specs; repro.mp.Layer is the layer).
 frameworks  System baselines: DGL-like, GNNAdvisor-like, FeatGraph-like,
             and the TLPGNN engine.
 bench       Table/figure regeneration harness.

@@ -65,12 +65,14 @@ udf                 describe a registered message-passing UDF: the spec
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .bench import ALL_EXPERIMENTS, BenchConfig, get_dataset, make_features, run_system
 from .frameworks import SYSTEMS
 from .gpusim import roofline
 from .obs import ProfileArchive, Tracer, diff_runs, load_run, set_tracer
+from .plan import ExecutionPlan
 
 __all__ = ["main", "build_parser"]
 
@@ -81,6 +83,70 @@ def _model_choices() -> list[str]:
     from .mp import registered_models
 
     return sorted(registered_models())
+
+
+def _shared_groups() -> dict[str, argparse.ArgumentParser]:
+    """Every argument more than one subcommand takes, declared once, as
+    argparse parent parsers keyed by group name."""
+    systems, models = sorted(SYSTEMS), _model_choices()
+    names = ("system", "model", "dataset", "cell", "any_system", "models",
+             "datasets", "json", "format", "archive", "opt", "level",
+             "serving")
+    g = {name: argparse.ArgumentParser(add_help=False) for name in names}
+    # one (system, model, dataset) cell, and the plan inspectors'
+    # positional (dataset, model) cell
+    g["system"].add_argument("--system", choices=systems, default="TLPGNN")
+    g["model"].add_argument("--model", choices=models, default="gcn")
+    g["dataset"].add_argument("--dataset", default="CR",
+                              help="dataset abbreviation (default CR)")
+    g["cell"].add_argument("dataset", help="dataset abbreviation (e.g. CR)")
+    g["cell"].add_argument("model", choices=models)
+    # a grid of cells, every axis repeatable
+    g["any_system"].add_argument("--system", choices=systems,
+                                 help="limit to one system (default: all four)")
+    g["models"].add_argument("--model", action="append", choices=models,
+                             help="model(s), repeatable (default: gcn gat)")
+    g["datasets"].add_argument("--dataset", action="append",
+                               help="dataset abbreviation(s), repeatable "
+                               "(default: CR CS PD; tune: CR)")
+    # machine-readable output
+    g["json"].add_argument("--json", action="store_true", dest="as_json",
+                           help="emit the result as JSON instead of text")
+    g["format"].add_argument("--format", choices=["text", "json", "sarif"],
+                             dest="fmt",
+                             help="output format (sarif = SARIF 2.1.0 log "
+                             "for CI code-scanning upload); --json is "
+                             "shorthand for --format json")
+    g["archive"].add_argument("--archive", metavar="DIR",
+                              help="also record the profile into this "
+                              "archive directory")
+    g["opt"].add_argument("--opt", choices=["off", "safe", "search"],
+                          help="plan-IR optimizer level (see the opt "
+                          "command); search consults the tuned-plan store")
+    g["level"].add_argument("--level", choices=["safe", "search"],
+                            default="search",
+                            help="optimizer level (default search)")
+    # the open-loop serving workload of serve and top
+    sv = g["serving"]
+    sv.add_argument("--arrival", choices=["poisson", "bursty"],
+                    default="poisson")
+    sv.add_argument("--rate", type=float,
+                    help="offered req/s (default: the system's offline "
+                    "service rate times 0.5 for serve, --load for top)")
+    sv.add_argument("--requests", type=int, default=200,
+                    help="trace length (default 200)")
+    sv.add_argument("--max-batch", type=int, default=8)
+    sv.add_argument("--streams", type=int, default=2,
+                    help="concurrent CUDA-like streams")
+    sv.add_argument("--queue-depth", type=int, default=64,
+                    help="admission bound on in-system requests")
+    sv.add_argument("--slo-ms", type=float,
+                    help="latency SLO in ms: enables burn-rate monitoring "
+                    "(top default 2.5x offline runtime); for serve "
+                    "--compare, the p99 bar (default 2.5x DGL offline)")
+    sv.add_argument("--slo-objective", type=float, default=0.99,
+                    help="SLO good fraction (default 0.99 = 1%% budget)")
+    return g
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,21 +164,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--feat", type=int, default=32, help="feature dimension")
     sub = p.add_subparsers(dest="command", required=True)
+    g = _shared_groups()
+    cell = [g["system"], g["model"], g["dataset"]]
+    grid = [g["any_system"], g["models"], g["datasets"]]
 
     sub.add_parser("datasets", help="print the dataset registry")
 
-    run = sub.add_parser("run", help="profile one system/model/dataset cell")
-    run.add_argument("--system", choices=sorted(SYSTEMS), default="TLPGNN")
-    run.add_argument("--model", choices=_model_choices(), default="gcn")
-    run.add_argument("--dataset", default="CR")
-    run.add_argument("--archive", default=None, metavar="DIR",
-                     help="also record the profile into this archive directory")
-    run.add_argument("--opt", choices=["off", "safe", "search"], default=None,
-                     help="plan-IR optimizer level (see the opt command)")
+    sub.add_parser(
+        "run", parents=[*cell, g["archive"], g["opt"]],
+        help="profile one system/model/dataset cell",
+    )
 
-    cmp_ = sub.add_parser("compare", help="run all systems on one cell")
-    cmp_.add_argument("--model", choices=_model_choices(), default="gcn")
-    cmp_.add_argument("--dataset", default="CR")
+    sub.add_parser(
+        "compare", parents=[g["model"], g["dataset"]],
+        help="run all systems on one cell",
+    )
 
     exp = sub.add_parser("experiment", help="regenerate a table/figure")
     exp.add_argument("id", choices=sorted(ALL_EXPERIMENTS))
@@ -124,21 +190,14 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--out", default=None,
                      help="write the full report to this file (default stdout)")
 
-    roof = sub.add_parser("roofline", help="roofline-classify a pipeline")
-    roof.add_argument("--system", choices=sorted(SYSTEMS), default="TLPGNN")
-    roof.add_argument("--model", choices=_model_choices(), default="gcn")
-    roof.add_argument("--dataset", default="CR")
+    sub.add_parser("roofline", parents=cell, help="roofline-classify a pipeline")
 
     tr = sub.add_parser(
-        "trace", help="profile one cell and export a Chrome-trace timeline"
+        "trace", parents=[*cell, g["archive"]],
+        help="profile one cell and export a Chrome-trace timeline",
     )
-    tr.add_argument("--system", choices=sorted(SYSTEMS), default="TLPGNN")
-    tr.add_argument("--model", choices=_model_choices(), default="gcn")
-    tr.add_argument("--dataset", default="CR")
     tr.add_argument("--out", default="trace.json",
                     help="timeline output path (default trace.json)")
-    tr.add_argument("--archive", default=None, metavar="DIR",
-                    help="also record the profile into this archive directory")
     tr.add_argument("--max-block-events", type=int, default=20_000,
                     help="per-kernel cap on replayed block events")
 
@@ -149,34 +208,15 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("candidate", help="archived run JSON to check")
 
     sv = sub.add_parser(
-        "serve", help="simulated online inference serving on the modeled GPU"
+        "serve", parents=[*cell, g["serving"], g["opt"]],
+        help="simulated online inference serving on the modeled GPU",
     )
-    sv.add_argument("--system", choices=sorted(SYSTEMS), default="TLPGNN")
-    sv.add_argument("--model", choices=_model_choices(), default="gcn")
-    sv.add_argument("--dataset", default="CR")
-    sv.add_argument("--arrival", choices=["poisson", "bursty"], default="poisson")
-    sv.add_argument("--rate", type=float, default=None,
-                    help="offered req/s (default: half the system's offline "
-                    "service rate, i.e. 0.5/runtime)")
-    sv.add_argument("--requests", type=int, default=200,
-                    help="trace length (default 200)")
     sv.add_argument("--job", choices=["full", "targets"], default="full",
                     help="per-request inference job kind")
     sv.add_argument("--targets", type=int, default=16,
                     help="vertices per request for --job targets")
-    sv.add_argument("--max-batch", type=int, default=8)
     sv.add_argument("--window-us", type=float, default=200.0,
                     help="batching deadline window in microseconds")
-    sv.add_argument("--streams", type=int, default=2,
-                    help="concurrent CUDA-like streams")
-    sv.add_argument("--queue-depth", type=int, default=64,
-                    help="admission bound on in-system requests")
-    sv.add_argument("--slo-ms", type=float, default=None,
-                    help="latency SLO in ms: enables burn-rate monitoring "
-                    "on a single run; for --compare, the p99 bar "
-                    "(default 2.5x DGL offline)")
-    sv.add_argument("--slo-objective", type=float, default=0.99,
-                    help="SLO good fraction (default 0.99 = 1%% budget)")
     sv.add_argument("--metrics-out", default=None, metavar="PATH",
                     help="append the run's obs metrics as JSONL")
     sv.add_argument("--trace", default=None, metavar="PATH", dest="trace_out",
@@ -189,9 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "scenario under identical traces")
     sv.add_argument("--smoke", action="store_true",
                     help="small fast run + conservation self-check (CI)")
-    sv.add_argument("--opt", choices=["off", "safe", "search"], default=None,
-                    help="plan-IR optimizer level for the served pipeline "
-                    "(search consults the tuned-plan store first)")
     sv.add_argument("--lint", action="store_true",
                     help="preflight: statically lint the served plan and "
                     "its cross-stream schedule; refuse to serve on "
@@ -206,30 +243,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "--certified re-verifies)")
 
     top = sub.add_parser(
-        "top", help="serve with SLO monitoring and render the health "
-        "dashboard"
+        "top", parents=[*cell, g["serving"]],
+        help="serve with SLO monitoring and render the health dashboard",
     )
-    top.add_argument("--system", choices=sorted(SYSTEMS), default="TLPGNN")
-    top.add_argument("--model", choices=_model_choices(),
-                     default="gcn")
-    top.add_argument("--dataset", default="CR")
-    top.add_argument("--arrival", choices=["poisson", "bursty"],
-                     default="poisson")
-    top.add_argument("--rate", type=float, default=None,
-                     help="offered req/s (default: --load x offline rate)")
     top.add_argument("--load", type=float, default=0.8,
                      help="offered load as a multiple of the system's "
                      "offline service rate (default 0.8)")
-    top.add_argument("--requests", type=int, default=200)
-    top.add_argument("--max-batch", type=int, default=8)
-    top.add_argument("--streams", type=int, default=2)
-    top.add_argument("--queue-depth", type=int, default=64)
-    top.add_argument("--slo-ms", type=float, default=None,
-                     help="latency SLO in ms (default 2.5x offline runtime)")
-    top.add_argument("--slo-objective", type=float, default=0.99)
 
     me = sub.add_parser(
-        "metrics", help="Prometheus-style text exposition of serving metrics"
+        "metrics", parents=cell,
+        help="Prometheus-style text exposition of serving metrics",
     )
     me.add_argument("--expose", action="store_true", default=True,
                     help="render the Prometheus text format (the default "
@@ -237,10 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     me.add_argument("--from-jsonl", default=None, metavar="PATH",
                     help="re-expose a --metrics-out JSONL file instead of "
                     "running a workload (last record per metric wins)")
-    me.add_argument("--system", choices=sorted(SYSTEMS), default="TLPGNN")
-    me.add_argument("--model", choices=_model_choices(),
-                    default="gcn")
-    me.add_argument("--dataset", default="CR")
     me.add_argument("--requests", type=int, default=64)
 
     rg = sub.add_parser(
@@ -257,38 +276,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "comparing")
 
     pl = sub.add_parser(
-        "plan", help="lower a cell and print each system's execution plan"
+        "plan", parents=[g["cell"], g["any_system"]],
+        help="lower a cell and print each system's execution plan",
     )
-    pl.add_argument("dataset", help="dataset abbreviation (e.g. CR)")
-    pl.add_argument("model", choices=_model_choices())
-    pl.add_argument("--system", choices=sorted(SYSTEMS), default=None,
-                    help="limit to one system (default: all four)")
     pl.add_argument("--lint", action="store_true",
                     help="append the static lint report to each plan")
 
     li = sub.add_parser(
-        "lint",
+        "lint", parents=[*grid, g["json"], g["format"]],
         help="static hazard/resource/determinism/access analysis of plans",
     )
-    li.add_argument("--system", choices=sorted(SYSTEMS), default=None,
-                    help="limit to one system (default: all four)")
-    li.add_argument("--model", action="append", default=None,
-                    choices=_model_choices(),
-                    help="model(s) to lint (default: gcn and gat)")
-    li.add_argument("--dataset", action="append", default=None,
-                    help="dataset abbreviation(s) (default: CR CS PD)")
     li.add_argument("--strict", action="store_true",
                     help="exit 1 on error-severity findings; with "
                     "--baseline, on ANY finding the baseline does not "
                     "already record")
-    li.add_argument("--json", action="store_true", dest="as_json",
-                    help="emit the findings as a stable JSON array "
-                    "(plan/code/severity/op/buffer/message) instead of text")
-    li.add_argument("--format", choices=["text", "json", "sarif"],
-                    default=None, dest="fmt",
-                    help="output format (sarif = SARIF 2.1.0 log for CI "
-                    "code-scanning upload); --json is shorthand for "
-                    "--format json")
     li.add_argument("--baseline", default=None, metavar="FILE",
                     help="suppress findings recorded in this baseline JSON "
                     "(keyed plan/code/op/buffer); stale suppressions are "
@@ -308,54 +309,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "(default 2; 0 disables the check)")
 
     vf = sub.add_parser(
-        "verify",
+        "verify", parents=[*grid, g["level"], g["json"], g["format"]],
         help="certify that the optimizer's rewrites preserve each cell's "
         "dataflow normal form (translation validation)",
     )
-    vf.add_argument("--system", choices=sorted(SYSTEMS), default=None,
-                    help="limit to one system (default: all four)")
-    vf.add_argument("--model", action="append", default=None,
-                    choices=_model_choices(),
-                    help="model(s) to certify (default: gcn and gat)")
-    vf.add_argument("--dataset", action="append", default=None,
-                    help="dataset abbreviation(s) (default: CR CS PD)")
-    vf.add_argument("--level", choices=["safe", "search"], default="search",
-                    help="optimizer level to certify (default search)")
     vf.add_argument("--budget", type=int, default=16,
                     help="max candidate plans a searching pass may score")
-    vf.add_argument("--json", action="store_true", dest="as_json",
-                    help="emit per-cell certification rows as a JSON array")
-    vf.add_argument("--format", choices=["text", "json", "sarif"],
-                    default=None, dest="fmt",
-                    help="output format (sarif = SARIF 2.1.0 log of the "
-                    "EQ findings)")
 
     op = sub.add_parser(
-        "opt",
+        "opt", parents=[g["cell"], g["any_system"], g["level"], g["json"]],
         help="run the plan-IR optimizer pass pipeline on one cell and "
         "show each pass's rewrite decision",
     )
-    op.add_argument("dataset", help="dataset abbreviation (e.g. CR)")
-    op.add_argument("model", choices=_model_choices())
-    op.add_argument("--system", choices=sorted(SYSTEMS), default=None,
-                    help="limit to one system (default: all four)")
-    op.add_argument("--level", choices=["safe", "search"], default="search",
-                    help="optimizer level (default search)")
     op.add_argument("--budget", type=int, default=32,
                     help="max candidate plans a searching pass may score")
-    op.add_argument("--json", action="store_true", dest="as_json",
-                    help="emit per-system pass records as a JSON array")
 
     tn = sub.add_parser(
-        "tune",
+        "tune", parents=[g["datasets"], g["model"], g["system"], g["json"]],
         help="auto-tune the compute-kernel knob space of one or more "
         "cells; persists winners in the tuned-plan store",
     )
-    tn.add_argument("--dataset", action="append", default=None,
-                    help="dataset abbreviation(s) (default: CR); repeatable")
-    tn.add_argument("--model", choices=_model_choices(),
-                    default="gcn")
-    tn.add_argument("--system", choices=sorted(SYSTEMS), default="TLPGNN")
     tn.add_argument("--budget", type=int, default=32,
                     help="max distinct candidate measurements per cell")
     tn.add_argument("--store", default=None, metavar="FILE",
@@ -363,20 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     tn.add_argument("--warm", action="store_true",
                     help="after tuning, run each cell with opt=search so "
                     "the PlanCache holds the tuned plan")
-    tn.add_argument("--json", action="store_true", dest="as_json",
-                    help="emit the tuning results as a JSON array")
 
     ud = sub.add_parser(
-        "udf",
+        "udf", parents=[g["dataset"], g["json"]],
         help="describe a registered message-passing UDF: spec signature, "
         "derived framework lowering, derived effect/access tables",
     )
     ud.add_argument("model", nargs="?", default=None,
                     help="registered model name (default: list all)")
-    ud.add_argument("--dataset", default="CR",
-                    help="cell to bind the spec against (default CR)")
-    ud.add_argument("--json", action="store_true", dest="as_json",
-                    help="emit the description as JSON")
     return p
 
 
@@ -384,8 +351,9 @@ def _config(args: argparse.Namespace) -> BenchConfig:
     return BenchConfig(feat_dim=args.feat, max_edges=args.max_edges, seed=args.seed)
 
 
-def _cell(args, config):
-    dataset = get_dataset(args.dataset, config)
+def _cell(abbr: str, config: BenchConfig):
+    """The dataset and the seeded input features of one cell."""
+    dataset = get_dataset(abbr, config)
     X = make_features(dataset.graph.num_vertices, config.feat_dim, seed=config.seed)
     return dataset, X
 
@@ -409,7 +377,7 @@ def _archive_report(report, args, config, spec, out, *, graph=None) -> None:
 
 def cmd_run(args: argparse.Namespace, out) -> int:
     config = _config(args)
-    dataset, X = _cell(args, config)
+    dataset, X = _cell(args.dataset, config)
     res = run_system(
         SYSTEMS[args.system](), args.model, dataset, config, X=X,
         opt=getattr(args, "opt", None),
@@ -432,7 +400,7 @@ def cmd_run(args: argparse.Namespace, out) -> int:
 
 def cmd_compare(args: argparse.Namespace, out) -> int:
     config = _config(args)
-    dataset, X = _cell(args, config)
+    dataset, X = _cell(args.dataset, config)
     rows = []
     for name, factory in SYSTEMS.items():
         res = run_system(factory(), args.model, dataset, config, X=X)
@@ -441,32 +409,25 @@ def cmd_compare(args: argparse.Namespace, out) -> int:
     print(f"{args.model.upper()} on {args.dataset} "
           f"(|V|={dataset.graph.num_vertices:,}, |E|={dataset.graph.num_edges:,}):",
           file=out)
-    if not ok:
-        # every system dashed this cell: still render the table, exit 1
-        for name, _ in rows:
-            print(f"  {name:<12} {'-':>10}  (dash, as in the paper)", file=out)
-        return 1
-    best = min(t for _, t in ok)
-    for name, t in sorted(ok, key=lambda r: r[1]):
-        marker = " <- fastest" if t == best else f"  ({t / best:.2f}x)"
-        print(f"  {name:<12} {t:10.4f} ms{marker}", file=out)
+    if ok:
+        best = min(t for _, t in ok)
+        for name, t in sorted(ok, key=lambda r: r[1]):
+            marker = " <- fastest" if t == best else f"  ({t / best:.2f}x)"
+            print(f"  {name:<12} {t:10.4f} ms{marker}", file=out)
     for name, t in rows:
         if t is None:
             print(f"  {name:<12} {'-':>10}  (dash, as in the paper)", file=out)
-    return 0
+    # a cell every system dashed still renders its table, but exits 1
+    return 0 if ok else 1
 
 
 def cmd_trace(args: argparse.Namespace, out) -> int:
     from .obs.timeline import write_timeline
 
     config = _config(args)
-    dataset, X = _cell(args, config)
-    tracer = Tracer()
-    previous = set_tracer(tracer)
-    try:
+    dataset, X = _cell(args.dataset, config)
+    with _installed(set_tracer, Tracer()) as tracer:
         res = run_system(SYSTEMS[args.system](), args.model, dataset, config, X=X)
-    finally:
-        set_tracer(previous)
     if res is None:
         print(
             f"{args.system} cannot run {args.model} on {args.dataset} "
@@ -522,7 +483,7 @@ def cmd_experiment(args: argparse.Namespace, out) -> int:
 
 def cmd_roofline(args: argparse.Namespace, out) -> int:
     config = _config(args)
-    dataset, X = _cell(args, config)
+    dataset, X = _cell(args.dataset, config)
     spec = config.spec_for(dataset)
     system = SYSTEMS[args.system]()
     res = run_system(system, args.model, dataset, config, X=X)
@@ -654,39 +615,59 @@ def _certified_preflight(servable, spec, out) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _installed(setter, value):
+    """Install ``value`` through a ``set_*`` hook for the duration of the
+    block, then restore whatever the hook returned as the previous value."""
+    previous = setter(value)
+    try:
+        yield value
+    finally:
+        setter(previous)
+
+
+def _publish_plan_metrics(registry) -> None:
+    """Mirror the plan cache's counters with the tuner's activity
+    (plans_tuned / tuned_plan_hit / tuned_plan_miss)."""
+    from .opt import get_tuned_store
+    from .plan import get_plan_cache
+
+    cache = get_plan_cache()
+    if cache is not None:
+        cache.publish(registry)
+    get_tuned_store().publish(registry)
+
+
 def cmd_serve(args: argparse.Namespace, out) -> int:
     import json
 
     from .bench.serving import serving_scenario
     from .obs.metrics import MetricsRegistry, get_registry, set_registry
     from .obs.reqtrace import RequestTraceCollector, set_request_collector
-    from .plan import get_plan_cache
+    from .opt import TunedPlanStore, set_tuned_store
     from .serve import ServeConfig, serve_trace
 
     config = _config(args)
-    previous_store = None
-    if args.store:
-        from .opt import TunedPlanStore, set_tuned_store
-
-        try:
-            loaded_store = TunedPlanStore.load(args.store)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"error: cannot read store {args.store}: {exc}", file=out)
-            return 2
-        previous_store = set_tuned_store(loaded_store)
-    # reuse an already-installed registry so repeated in-process serves
-    # accumulate counters (plan_cache_hit across warm passes included);
-    # "is None" rather than "or": an empty registry is falsy (len 0)
-    registry = get_registry()
-    if registry is None:
-        registry = MetricsRegistry()
-    previous = set_registry(registry)
-    collector = None
-    previous_collector = None
-    if args.trace_out or args.tree:
-        collector = RequestTraceCollector()
-        previous_collector = set_request_collector(collector)
-    try:
+    with contextlib.ExitStack() as installed:
+        if args.store:
+            try:
+                loaded_store = TunedPlanStore.load(args.store)
+            except (OSError, ValueError, KeyError) as exc:
+                print(f"error: cannot read store {args.store}: {exc}", file=out)
+                return 2
+            installed.enter_context(_installed(set_tuned_store, loaded_store))
+        # reuse an already-installed registry so repeated in-process serves
+        # accumulate counters (plan_cache_hit across warm passes included);
+        # "is None" rather than "or": an empty registry is falsy (len 0)
+        registry = get_registry()
+        if registry is None:
+            registry = MetricsRegistry()
+        installed.enter_context(_installed(set_registry, registry))
+        collector = None
+        if args.trace_out or args.tree:
+            collector = installed.enter_context(
+                _installed(set_request_collector, RequestTraceCollector())
+            )
         if args.compare:
             result = serving_scenario(
                 config, model=args.model, slo_ms=args.slo_ms, registry=registry
@@ -748,25 +729,10 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
                     file=out,
                 )
         if args.metrics_out:
-            cache = get_plan_cache()
-            if cache is not None:
-                cache.publish(registry)
-            # mirror the plan-cache counters with the tuner's activity
-            # (plans_tuned / tuned_plan_hit / tuned_plan_miss)
-            from .opt import get_tuned_store
-
-            get_tuned_store().publish(registry)
+            _publish_plan_metrics(registry)
             n = registry.dump_jsonl(args.metrics_out)
             print(f"wrote {n} metrics to {args.metrics_out}", file=out)
         return rc
-    finally:
-        if collector is not None:
-            set_request_collector(previous_collector)
-        set_registry(previous)
-        if previous_store is not None:
-            from .opt import set_tuned_store
-
-            set_tuned_store(previous_store)
 
 
 def cmd_top(args: argparse.Namespace, out) -> int:
@@ -798,7 +764,6 @@ def cmd_metrics(args: argparse.Namespace, out) -> int:
     """Prometheus text exposition: from a JSONL dump or a fresh run."""
     from .obs.expose import records_from_jsonl, render_prometheus
     from .obs.metrics import MetricsRegistry, set_registry
-    from .plan import get_plan_cache
     from .serve import ServeConfig, serve_trace
 
     if args.from_jsonl:
@@ -814,9 +779,7 @@ def cmd_metrics(args: argparse.Namespace, out) -> int:
     if made is None:
         return 1
     servable, spec = made
-    registry = MetricsRegistry()
-    previous = set_registry(registry)
-    try:
+    with _installed(set_registry, MetricsRegistry()) as registry:
         cfg = ServeConfig(
             rate_hz=0.5 / servable.offline_runtime_s,
             num_requests=args.requests, max_batch=4, num_streams=2,
@@ -825,14 +788,7 @@ def cmd_metrics(args: argparse.Namespace, out) -> int:
         )
         report = serve_trace(servable, cfg)
         report.publish(registry, system=args.system, dataset=args.dataset)
-        cache = get_plan_cache()
-        if cache is not None:
-            cache.publish(registry)
-        from .opt import get_tuned_store
-
-        get_tuned_store().publish(registry)
-    finally:
-        set_registry(previous)
+        _publish_plan_metrics(registry)
     print(render_prometheus(registry), end="", file=out)
     return 0
 
@@ -873,14 +829,27 @@ def cmd_regress(args: argparse.Namespace, out) -> int:
     return rc
 
 
-def cmd_plan(args: argparse.Namespace, out) -> int:
-    """Lower one cell per system and print the plan (no execution)."""
+def _lower_systems(
+    model: str, dataset, X, spec, system: str | None = None
+) -> list[tuple[str, ExecutionPlan | Exception]]:
+    """Lower one cell on ``system`` (default: every system), pairing each
+    system name with its plan or with the dash exception it raised."""
     from .frameworks.base import CapacityError, UnsupportedModelError
 
+    lowered: list[tuple[str, ExecutionPlan | Exception]] = []
+    for name in [system] if system else sorted(SYSTEMS):
+        try:
+            lowered.append((name, SYSTEMS[name]().lower(model, dataset, X, spec)))
+        except (UnsupportedModelError, CapacityError) as exc:
+            lowered.append((name, exc))
+    return lowered
+
+
+def cmd_plan(args: argparse.Namespace, out) -> int:
+    """Lower one cell per system and print the plan (no execution)."""
     config = _config(args)
-    dataset, X = _cell(args, config)
+    dataset, X = _cell(args.dataset, config)
     spec = config.spec_for(dataset)
-    names = [args.system] if args.system else sorted(SYSTEMS)
     print(
         f"{args.model.upper()} on {args.dataset} "
         f"(|V|={dataset.graph.num_vertices:,}, "
@@ -888,11 +857,9 @@ def cmd_plan(args: argparse.Namespace, out) -> int:
         file=out,
     )
     lowered = 0
-    for name in names:
-        try:
-            plan = SYSTEMS[name]().lower(args.model, dataset, X, spec)
-        except (UnsupportedModelError, CapacityError) as exc:
-            print(f"{name}: - ({type(exc).__name__}: {exc})\n", file=out)
+    for name, plan in _lower_systems(args.model, dataset, X, spec, args.system):
+        if isinstance(plan, Exception):
+            print(f"{name}: - ({type(plan).__name__}: {plan})\n", file=out)
             continue
         print(plan.describe(), file=out)
         if args.lint:
@@ -904,47 +871,61 @@ def cmd_plan(args: argparse.Namespace, out) -> int:
     return 0 if lowered else 1
 
 
-def _load_baseline(path: str) -> set[tuple[str, str, str, str]]:
-    """Known-finding keys of a lint baseline file (see --write-baseline)."""
+#: the fields that identify a finding in a lint baseline file
+_BASELINE_FIELDS = ("plan", "code", "op", "buffer")
+
+
+def _baseline_key(entry: dict) -> tuple[str, ...]:
+    return tuple(entry.get(k, "") for k in _BASELINE_FIELDS)
+
+
+def _load_baseline(path: str) -> list[dict]:
+    """The entries of a lint baseline file (see --write-baseline).
+
+    Raises OSError/ValueError when the file is unreadable or is not a
+    ``{"findings": [{plan, code, op, buffer}, ...]}`` object.
+    """
     import json
 
     with open(path) as fh:
         data = json.load(fh)
-    return {
-        (
-            entry.get("plan", ""),
-            entry.get("code", ""),
-            entry.get("op", ""),
-            entry.get("buffer", ""),
+    entries = data.get("findings", []) if isinstance(data, dict) else None
+    if not isinstance(entries, list) or not all(
+        isinstance(entry, dict)
+        and all(isinstance(entry.get(k, ""), str) for k in _BASELINE_FIELDS)
+        for entry in entries
+    ):
+        raise ValueError(
+            'expected {"findings": [{"plan", "code", "op", "buffer"}, ...]}'
         )
-        for entry in data.get("findings", ())
-    }
+    return entries
+
+
+def _write_baseline(path: str, entries: list[dict]) -> None:
+    import json
+
+    with open(path, "w") as fh:
+        json.dump({"version": 1, "findings": entries}, fh, indent=2)
+        fh.write("\n")
 
 
 def cmd_lint(args: argparse.Namespace, out) -> int:
     """Statically lint the lowered plans of a grid of cells (no execution)."""
     import json
 
-    from .frameworks.base import CapacityError, UnsupportedModelError
-    from .lint import (
-        finding_rows,
-        lint_plan,
-        race_findings,
-        serving_schedule,
-    )
+    from .lint import finding_rows, lint_plan, race_findings, serving_schedule
     from .lint.report import LintReport
 
     if args.explain:
+        import difflib
+
         from .lint import RULES, explain
 
+        code = args.explain.upper()
         try:
-            print(explain(args.explain.upper()), file=out)
+            print(explain(code), file=out)
         except KeyError:
-            import difflib
-
-            close = difflib.get_close_matches(
-                args.explain.upper(), sorted(RULES), n=1, cutoff=0.4
-            )
+            close = difflib.get_close_matches(code, sorted(RULES), n=1, cutoff=0.4)
             hint = f" — did you mean {close[0]}?" if close else ""
             print(f"unknown finding code: {args.explain}{hint}", file=out)
             return 2
@@ -952,41 +933,33 @@ def cmd_lint(args: argparse.Namespace, out) -> int:
 
     fmt = args.fmt or ("json" if args.as_json else "text")
     machine = fmt != "text"
-    baseline_keys: set[tuple[str, str, str, str]] = set()
-    baseline_entries: list[dict] = []
+    baseline: list[dict] = []
     if args.baseline:
         try:
-            with open(args.baseline) as fh:
-                baseline_entries = json.load(fh).get("findings", [])
-            baseline_keys = _load_baseline(args.baseline)
+            baseline = _load_baseline(args.baseline)
         except (OSError, ValueError) as exc:
             print(f"error: cannot read baseline {args.baseline}: {exc}",
                   file=out)
             return 2
+    baseline_keys = {_baseline_key(entry) for entry in baseline}
 
     config = _config(args)
-    systems = [args.system] if args.system else sorted(SYSTEMS)
-    models = args.model or ["gcn", "gat"]
-    datasets = args.dataset or ["CR", "CS", "PD"]
-    errors = warnings_ = cells = suppressed = kept_total = 0
+    errors = warnings_ = cells = suppressed = 0
     kept_rows: list[dict] = []  # unsuppressed findings, grid-stable order
     all_rows: list[dict] = []  # every finding (what --write-baseline records)
-    matched_keys: set[tuple[str, str, str, str]] = set()
+    matched_keys: set[tuple[str, ...]] = set()
     text: list[str] = []
-    for ds_name in datasets:
-        dataset = get_dataset(ds_name, config)
-        X = make_features(
-            dataset.graph.num_vertices, config.feat_dim, seed=config.seed
-        )
+    for ds_name in args.dataset or ["CR", "CS", "PD"]:
+        dataset, X = _cell(ds_name, config)
         spec = config.spec_for(dataset)
-        for model in models:
-            for name in systems:
-                try:
-                    plan = SYSTEMS[name]().lower(model, dataset, X, spec)
-                except (UnsupportedModelError, CapacityError) as exc:
+        for model in args.model or ["gcn", "gat"]:
+            for name, plan in _lower_systems(
+                model, dataset, X, spec, args.system
+            ):
+                if isinstance(plan, Exception):
                     text.append(
                         f"{name}/{model} on {ds_name}: - "
-                        f"({type(exc).__name__})"
+                        f"({type(plan).__name__})"
                     )
                     continue
                 report = lint_plan(plan, spec)
@@ -1006,14 +979,13 @@ def cmd_lint(args: argparse.Namespace, out) -> int:
                     findings, finding_rows(report.plan_label, findings)
                 ):
                     all_rows.append(row)
-                    key = (report.plan_label, *f.key())
+                    key = _baseline_key(row)
                     if key in baseline_keys:
                         matched_keys.add(key)
                         suppressed += 1
                         continue
                     kept.append(f)
                     kept_rows.append(row)
-                kept_total += len(kept)
                 errors += sum(f.severity == "error" for f in kept)
                 warnings_ += sum(f.severity == "warning" for f in kept)
                 text.append(
@@ -1023,40 +995,21 @@ def cmd_lint(args: argparse.Namespace, out) -> int:
                 )
     stale_keys = baseline_keys - matched_keys
     if args.prune_baseline and args.baseline:
-        live = [
-            entry
-            for entry in baseline_entries
-            if (
-                entry.get("plan", ""),
-                entry.get("code", ""),
-                entry.get("op", ""),
-                entry.get("buffer", ""),
-            )
-            in matched_keys
-        ]
-        with open(args.baseline, "w") as fh:
-            json.dump({"version": 1, "findings": live}, fh, indent=2)
-            fh.write("\n")
+        live = [e for e in baseline if _baseline_key(e) in matched_keys]
+        _write_baseline(args.baseline, live)
         if not machine:
             text.append(
-                f"pruned {len(baseline_entries) - len(live)} stale "
+                f"pruned {len(baseline) - len(live)} stale "
                 f"suppression(s) from {args.baseline}"
             )
     if args.write_baseline:
-        baseline = {
-            "version": 1,
-            "findings": [
-                {k: row[k] for k in ("plan", "code", "op", "buffer")}
-                for row in all_rows
-            ],
-        }
-        with open(args.write_baseline, "w") as fh:
-            json.dump(baseline, fh, indent=2)
-            fh.write("\n")
+        _write_baseline(
+            args.write_baseline,
+            [{k: row[k] for k in _BASELINE_FIELDS} for row in all_rows],
+        )
         if not machine:
             text.append(
-                f"wrote {len(baseline['findings'])} finding(s) to "
-                f"{args.write_baseline}"
+                f"wrote {len(all_rows)} finding(s) to {args.write_baseline}"
             )
     if fmt == "json":
         # machine mode: the array is the whole output (stable field set)
@@ -1083,7 +1036,7 @@ def cmd_lint(args: argparse.Namespace, out) -> int:
     if args.strict:
         # a baseline promotes strict mode to "no new findings at all":
         # the recorded ones are accepted, anything else fails the run
-        failed = kept_total if args.baseline else errors
+        failed = len(kept_rows) if args.baseline else errors
         return 1 if failed else 0
     return 0
 
@@ -1092,21 +1045,17 @@ def cmd_opt(args: argparse.Namespace, out) -> int:
     """Lower one cell per system, optimize it, and report each pass."""
     import json
 
-    from .frameworks.base import CapacityError, UnsupportedModelError
     from .opt import modeled_runtime_s, optimize_plan
 
     config = _config(args)
-    dataset, X = _cell(args, config)
+    dataset, X = _cell(args.dataset, config)
     spec = config.spec_for(dataset)
-    names = [args.system] if args.system else sorted(SYSTEMS)
     rows = []
     optimized = 0
-    for name in names:
-        try:
-            plan = SYSTEMS[name]().lower(args.model, dataset, X, spec)
-        except (UnsupportedModelError, CapacityError) as exc:
+    for name, plan in _lower_systems(args.model, dataset, X, spec, args.system):
+        if isinstance(plan, Exception):
             if not args.as_json:
-                print(f"{name}: - ({type(exc).__name__}: {exc})\n", file=out)
+                print(f"{name}: - ({type(plan).__name__}: {plan})\n", file=out)
             continue
         before_ms = modeled_runtime_s(plan, spec) * 1e3
         new_plan, records = optimize_plan(
@@ -1177,22 +1126,20 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
         budget=args.budget,
     )
     failed = [c for c in cells if not c.ok]
+    labels = [f"{c.system}/{c.model} on {c.dataset}" for c in cells]
     if fmt == "json":
         print(json.dumps([c.as_dict() for c in cells], indent=2), file=out)
     elif fmt == "sarif":
         rows: list[dict] = []
-        for c in cells:
-            if c.result is None:
-                continue
-            label = f"{c.system}/{c.model} on {c.dataset}"
-            rows.extend(finding_rows(label, c.result.decision.findings))
+        for label, c in zip(labels, cells, strict=True):
+            if c.result is not None:
+                rows.extend(finding_rows(label, c.result.decision.findings))
         print(
             json.dumps(sarif_log(rows, tool_name="repro-verify"), indent=2),
             file=out,
         )
     else:
-        for c in cells:
-            label = f"{c.system}/{c.model} on {c.dataset}"
+        for label, c in zip(labels, cells, strict=True):
             if c.status == "dash":
                 print(f"{label}: - ({c.reason})", file=out)
             elif c.status == "certified":
@@ -1228,7 +1175,6 @@ def cmd_tune(args: argparse.Namespace, out) -> int:
     config = _config(args)
     datasets = args.dataset or ["CR"]
     store = get_tuned_store()
-    previous = None
     if args.store:
         if os.path.exists(args.store):
             store = TunedPlanStore.load(args.store)
@@ -1241,17 +1187,13 @@ def cmd_tune(args: argparse.Namespace, out) -> int:
                 )
         else:
             store = TunedPlanStore()
-        previous = set_tuned_store(store)
     tuner = AutoTuner(budget=args.budget, seed=config.seed, store=store)
     rows = []
     rc = 0
-    try:
+    with _installed(set_tuned_store, store):
         for abbr in datasets:
-            dataset = get_dataset(abbr, config)
+            dataset, X = _cell(abbr, config)
             spec = config.spec_for(dataset)
-            X = make_features(
-                dataset.graph.num_vertices, config.feat_dim, seed=config.seed
-            )
             system = SYSTEMS[args.system]()
             result = tuner.tune(system, args.model, dataset, X, spec)
             row = result.as_dict()
@@ -1282,9 +1224,6 @@ def cmd_tune(args: argparse.Namespace, out) -> int:
                     f"saved {len(store)} tuned plan(s) to {args.store}",
                     file=out,
                 )
-    finally:
-        if previous is not None:
-            set_tuned_store(previous)
     if args.as_json:
         print(json.dumps(rows, indent=2), file=out)
     return rc
@@ -1294,13 +1233,13 @@ def cmd_udf(args: argparse.Namespace, out) -> int:
     """Describe a registered UDF: everything downstream is derived."""
     import json
 
-    from .frameworks.base import CapacityError, UnsupportedModelError
+    from .frameworks.base import UnsupportedModelError
     from .kernels.tlpgnn import TLPGNNKernel
     from .lint.access import sector_class
     from .mp import build_model, model_features, registered_models
 
     config = _config(args)
-    dataset, X = _cell(args, config)
+    dataset, X = _cell(args.dataset, config)
     if args.model is None:
         rows = [
             {
@@ -1333,24 +1272,20 @@ def cmd_udf(args: argparse.Namespace, out) -> int:
 
     # what each framework derives from the terms: support + pipeline
     systems: dict[str, dict] = {}
-    for sysname in sorted(SYSTEMS):
-        system = SYSTEMS[sysname]()
-        if not system.supports(name):
+    for sysname, plan in _lower_systems(name, dataset, X, spec):
+        if isinstance(plan, UnsupportedModelError):  # declined by the terms
             systems[sysname] = {"supported": False, "kernels": None}
-            continue
-        try:
-            plan = system.lower(name, dataset, X, spec)
-        except (UnsupportedModelError, CapacityError) as exc:
+        elif isinstance(plan, Exception):
             systems[sysname] = {
                 "supported": False,
                 "kernels": None,
-                "error": f"{type(exc).__name__}: {exc}",
+                "error": f"{type(plan).__name__}: {plan}",
             }
-            continue
-        systems[sysname] = {
-            "supported": True,
-            "kernels": [op.name for op in plan.ops],
-        }
+        else:
+            systems[sysname] = {
+                "supported": True,
+                "kernels": [op.name for op in plan.ops],
+            }
 
     # the fused kernel's derived tables (same derivation the lint checks)
     kernel = TLPGNNKernel()

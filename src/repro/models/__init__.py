@@ -1,5 +1,9 @@
-"""GNN models (GCN, GIN, GraphSAGE, GAT): conv workload builders, full
-layers, and the shared ConvWorkload description kernels consume."""
+"""The numeric carrier of GNN models: the shared ConvWorkload description
+kernels consume, dense/segment functional ops, the ``build_conv``
+dispatch over the :mod:`repro.mp` registry, and GCN training.
+
+Models themselves are described one way, as :mod:`repro.mp` specs; a full
+layer over any of them is :class:`repro.mp.Layer`."""
 
 from __future__ import annotations
 
@@ -8,11 +12,6 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from . import functional
 from .convspec import AttentionSpec, ConvWorkload, reference_aggregate
-from .gat import GATLayer, MultiHeadGATLayer, build_gat_conv
-from .gcn import GCNLayer, build_gcn_conv, gcn_norm
-from .gin import GINLayer, build_gin_conv
-from .rgcn import RGCNLayer, build_rgcn_convs
-from .sage import SAGELayer, build_sage_conv
 from .training import GCNClassifier, cross_entropy, normalized_adjacency
 
 __all__ = [
@@ -20,18 +19,6 @@ __all__ = [
     "ConvWorkload",
     "AttentionSpec",
     "reference_aggregate",
-    "build_gcn_conv",
-    "gcn_norm",
-    "build_gin_conv",
-    "build_sage_conv",
-    "build_gat_conv",
-    "GCNLayer",
-    "GINLayer",
-    "SAGELayer",
-    "GATLayer",
-    "MultiHeadGATLayer",
-    "RGCNLayer",
-    "build_rgcn_convs",
     "GCNClassifier",
     "cross_entropy",
     "normalized_adjacency",

@@ -44,10 +44,30 @@ def dropout(
 
 
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """``x @ weight + bias`` with shape checks."""
+    """``x @ weight + bias`` with a fixed-order float64 accumulation.
+
+    The one dense-contraction helper of the package.  It never calls BLAS,
+    whose summation order (and so whose float32 bytes) changes with the
+    thread count: each output column is a float64 dot of every contiguous
+    row of ``x`` with one weight column, run by ``np.einsum`` without path
+    optimization (numpy's own sum-of-products loop, whose order is fixed
+    by the contraction length alone).  ``weight`` is ``(k,)`` or
+    ``(k, m)``; the result has the dtype ``x @ weight`` would have.
+    """
     if x.shape[-1] != weight.shape[0]:
         raise ValueError(f"shape mismatch: {x.shape} @ {weight.shape}")
-    out = x @ weight
+    x64 = np.ascontiguousarray(x, dtype=np.float64)
+    cols = np.asarray(weight, dtype=np.float64).reshape(weight.shape[0], -1)
+    out = np.stack(
+        [
+            np.einsum("...k,k->...", x64, col, optimize=False)
+            for col in np.ascontiguousarray(cols.T)
+        ],
+        axis=-1,
+    )
+    out = out.reshape(*x.shape[:-1], *weight.shape[1:]).astype(
+        np.result_type(x, weight), copy=False
+    )
     if bias is not None:
         out = out + bias
     return out

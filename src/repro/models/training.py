@@ -17,13 +17,14 @@ import scipy.sparse as sp
 
 from ..graph.csr import CSRGraph
 from . import functional as F
-from .gcn import gcn_norm
 
 __all__ = ["GCNClassifier", "cross_entropy", "normalized_adjacency"]
 
 
 def normalized_adjacency(graph: CSRGraph) -> sp.csr_matrix:
     """Â = D̃^-1/2 (A + I) D̃^-1/2 as a sparse operator (float64)."""
+    from ..mp import gcn_norm  # repro.mp imports this package eagerly
+
     weights, self_coeff = gcn_norm(graph)
     adj = graph.to_scipy(weights=weights).astype(np.float64)
     return adj + sp.diags(self_coeff.astype(np.float64))
@@ -71,10 +72,10 @@ class GCNClassifier:
         A = normalized_adjacency(graph)
         X = X.astype(np.float64)
         AX = A @ X
-        Z1 = AX @ self.w1
+        Z1 = F.linear(AX, self.w1)
         H1 = np.maximum(Z1, 0.0)
         AH1 = A @ H1
-        logits = AH1 @ self.w2
+        logits = F.linear(AH1, self.w2)
         self._cache = {"A": A, "AX": AX, "Z1": Z1, "H1": H1, "AH1": AH1}
         return logits
 
@@ -83,11 +84,11 @@ class GCNClassifier:
         c = self._cache
         if not c:
             raise RuntimeError("call forward() before gradients()")
-        dW2 = c["AH1"].T @ grad_logits
-        dAH1 = grad_logits @ self.w2.T
+        dW2 = F.linear(c["AH1"].T, grad_logits)
+        dAH1 = F.linear(grad_logits, self.w2.T)
         dH1 = c["A"].T @ dAH1  # adjoint of the aggregation operator
         dZ1 = dH1 * (c["Z1"] > 0)
-        dW1 = c["AX"].T @ dZ1
+        dW1 = F.linear(c["AX"].T, dZ1)
         return dW1, dW2
 
     # ------------------------------------------------------------------

@@ -10,6 +10,8 @@ derived from the terms:
   :class:`~repro.models.convspec.ConvWorkload`,
 * :mod:`repro.mp.builtins` — the model zoo as UDF instances plus the
   ``register`` extension point for user models,
+* :mod:`repro.mp.layer` — :class:`Layer`, one GNN layer (dense transform
+  + conv) over any registered spec,
 * :mod:`repro.mp.lower` — spec-driven framework lowering (DGL stage
   plans, the unfused softmax staging, ``supports()`` feature predicates),
 * :mod:`repro.mp.derive` — effect/access table derivation from a kernel's
@@ -31,6 +33,7 @@ from .derive import (
     derive_effects,
     softmax_stage_access,
 )
+from .layer import Layer
 from .lower import (
     GlueStage,
     ModelFeatures,
@@ -49,6 +52,7 @@ from .spec import (
     SelfTerm,
     SymNorm,
     bind,
+    gcn_norm,
     validate,
 )
 
@@ -58,6 +62,7 @@ __all__ = [
     "EdgeScalar",
     "GlueStage",
     "KernelMapping",
+    "Layer",
     "MPModel",
     "MessageSpec",
     "ModelFeatures",
@@ -71,6 +76,7 @@ __all__ = [
     "derive_access",
     "derive_effects",
     "dgl_stage_plan",
+    "gcn_norm",
     "is_registered",
     "model_features",
     "register",

@@ -38,11 +38,35 @@ __all__ = [
     "SelfTerm",
     "SymNorm",
     "bind",
+    "gcn_norm",
 ]
 
 _FEATURES = ("src", "dst")
 _REDUCES = ("sum", "mean", "max")
 _SELF_KINDS = ("scaled", "eps", "concat")
+
+
+def _self_loop_coeff(graph: CSRGraph) -> np.ndarray:
+    """``1/(d+1)`` per vertex: the self-loop entry of the renormalized
+    adjacency, shared by :func:`gcn_norm` and ``SelfTerm("scaled")``."""
+    return (1.0 / (graph.in_degrees.astype(np.float64) + 1.0)).astype(
+        np.float32
+    )
+
+
+def gcn_norm(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
+    """:class:`SymNorm`'s numeric meaning on one graph.
+
+    Returns ``(edge_weights, self_coeff)`` with
+    ``w(u,v) = 1/sqrt((d_u+1)(d_v+1))`` and ``self_coeff[u] = 1/(d_u+1)``
+    (the self-loop term of the renormalized adjacency).
+    """
+    inv_sqrt = 1.0 / np.sqrt(graph.in_degrees.astype(np.float64) + 1.0)
+    dst = np.repeat(
+        np.arange(graph.num_vertices, dtype=np.int64), graph.in_degrees
+    )
+    weights = (inv_sqrt[dst] * inv_sqrt[graph.indices]).astype(np.float32)
+    return weights, _self_loop_coeff(graph)
 
 
 # ----------------------------------------------------------------------
@@ -105,9 +129,12 @@ class AttentionLogit:
             drawn_dst = F.xavier_uniform((f, 1), rng)[:, 0]
             a_src = drawn_src if a_src is None else a_src
             a_dst = drawn_dst if a_dst is None else a_dst
+        att = F.linear(X, np.stack([a_src, a_dst], axis=1)).astype(
+            np.float32
+        )
         return AttentionSpec(
-            att_src=(X @ a_src).astype(np.float32),
-            att_dst=(X @ a_dst).astype(np.float32),
+            att_src=np.ascontiguousarray(att[:, 0]),
+            att_dst=np.ascontiguousarray(att[:, 1]),
             negative_slope=self.negative_slope,
         )
 
@@ -174,8 +201,7 @@ class SelfTerm:
             return np.full(
                 graph.num_vertices, 1.0 + self.eps, dtype=np.float32
             )
-        deg = graph.in_degrees.astype(np.float64) + 1.0
-        return (1.0 / deg).astype(np.float32)
+        return _self_loop_coeff(graph)
 
 
 @dataclass(frozen=True)
@@ -293,8 +319,6 @@ def _compile(
     edge_weights = None
     attention = None
     if isinstance(scale, SymNorm):
-        from ..models.gcn import gcn_norm
-
         edge_weights, _self = gcn_norm(graph)
     elif isinstance(scale, EdgeScalar):
         edge_weights = (

@@ -156,6 +156,20 @@ def test_lint_missing_baseline_file_is_a_usage_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "content",
+    ['{"findings": ["x"]}', '[{"plan": "x"}]', '{"findings": {"plan": "x"}}'],
+    ids=["non-object-entry", "top-level-list", "findings-not-a-list"],
+)
+def test_lint_malformed_baseline_is_a_usage_error(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    rc, text = _run(["lint", "--baseline", str(path),
+                     "--system", "TLPGNN", "--model", "gcn", "--dataset", "CR"])
+    assert rc == 2
+    assert f"error: cannot read baseline {path}" in text
+
+
 def test_repo_baseline_covers_the_default_grid():
     """The committed lint-baseline.json suppresses the whole grid (the CI
     contract: strict + baseline over every cell yields an empty array)."""

@@ -49,6 +49,18 @@ class TestActivations:
         np.testing.assert_allclose(F.linear(x, w), w)
         np.testing.assert_allclose(F.linear(x, w, np.ones(3)), w + 1)
 
+    def test_linear_matches_matmul(self, rng):
+        x = rng.standard_normal((50, 7), dtype=np.float32)
+        w = rng.standard_normal((7, 3), dtype=np.float32)
+        out = F.linear(x, w)
+        assert out.dtype == np.float32 and out.shape == (50, 3)
+        np.testing.assert_allclose(out, x @ w, rtol=1e-5, atol=1e-5)
+        vec = F.linear(x, w[:, 0])  # a (k,) weight contracts to (n,)
+        assert vec.shape == (50,)
+        np.testing.assert_array_equal(vec, out[:, 0])
+        x64 = x.astype(np.float64)
+        assert F.linear(x64.T, x64).dtype == np.float64
+
     def test_linear_shape_check(self):
         with pytest.raises(ValueError):
             F.linear(np.ones((2, 3)), np.ones((4, 2)))

@@ -1,19 +1,13 @@
-"""GNN model conv semantics vs naive per-vertex loops, and full layers."""
+"""GNN model conv semantics vs naive per-vertex loops, and full layers
+(:class:`repro.mp.Layer` over each registered spec)."""
 
 import numpy as np
 import pytest
 
-from repro.models import (
-    GATLayer,
-    GCNLayer,
-    GINLayer,
-    MODEL_NAMES,
-    SAGELayer,
-    build_conv,
-    reference_aggregate,
-)
+from repro.models import MODEL_NAMES, build_conv, reference_aggregate
+from repro.models import functional as F
 from repro.models.convspec import AttentionSpec, ConvWorkload
-from repro.models.gcn import gcn_norm
+from repro.mp import Layer, MessageSpec, ReduceSpec, SelfTerm, bind, gcn_norm
 
 from ..conftest import make_workload
 
@@ -75,14 +69,14 @@ class TestGCN:
         assert np.all(out[0] > 0)
 
     def test_layer_shapes(self, small_random, rng):
-        layer = GCNLayer.init(8, 5, rng)
+        layer = Layer.init("gcn", 8, 5, rng)
         X = rng.standard_normal((small_random.num_vertices, 8), dtype=np.float32)
         out = layer.forward(small_random, X)
         assert out.shape == (small_random.num_vertices, 5)
         assert np.all(out >= 0)  # ReLU
 
     def test_layer_no_activation(self, small_random, rng):
-        layer = GCNLayer.init(8, 5, rng)
+        layer = Layer.init("gcn", 8, 5, rng)
         X = rng.standard_normal((small_random.num_vertices, 8), dtype=np.float32)
         out = layer.forward(small_random, X, activation=False)
         assert np.any(out < 0)
@@ -99,19 +93,28 @@ class TestGIN:
         np.testing.assert_allclose(out[3], X[3] + X[2], rtol=1e-5)
 
     def test_eps(self, chain_graph, rng):
-        from repro.models.gin import build_gin_conv
-
         X = rng.standard_normal((chain_graph.num_vertices, 4), dtype=np.float32)
-        wl = build_gin_conv(chain_graph, X, eps=0.5)
+        wl = bind(
+            "gin",
+            MessageSpec(feature="src"),
+            ReduceSpec(op="sum", self_term=SelfTerm(kind="eps", eps=0.5)),
+            chain_graph,
+            X,
+        ).workload()
         out = reference_aggregate(wl)
         np.testing.assert_allclose(out[0], 1.5 * X[0], rtol=1e-6)
 
-    def test_layer(self, small_random, rng):
-        layer = GINLayer.init(8, 16, 4, rng)
+    def test_layer_then_linear(self, small_random, rng):
+        """GIN's MLP is a Layer (dense + conv + ReLU) followed by linear,
+        which equals conv-then-MLP because the conv is linear in X."""
+        layer = Layer.init("gin", 8, 16, rng)
+        w2 = F.xavier_uniform((16, 4), rng)
         X = rng.standard_normal((small_random.num_vertices, 8), dtype=np.float32)
-        assert layer.forward(small_random, X).shape == (
-            small_random.num_vertices, 4,
-        )
+        out = F.linear(layer.forward(small_random, X), w2)
+        assert out.shape == (small_random.num_vertices, 4)
+        agg = reference_aggregate(build_conv("gin", small_random, X))
+        manual = np.maximum(agg @ layer.weight, 0.0) @ w2
+        np.testing.assert_allclose(out, manual, rtol=1e-4, atol=1e-4)
 
 
 class TestSAGE:
@@ -131,11 +134,27 @@ class TestSAGE:
         )
 
     def test_layer(self, small_random, rng):
-        layer = SAGELayer.init(8, 6, rng)
+        """The concat self-term's weight transforms the layer input."""
+        layer = Layer.init("sage", 8, 6, rng)
+        assert layer.self_weight is not None
         X = rng.standard_normal((small_random.num_vertices, 8), dtype=np.float32)
-        assert layer.forward(small_random, X).shape == (
-            small_random.num_vertices, 6,
-        )
+        out = layer.forward(small_random, X, activation=False)
+        assert out.shape == (small_random.num_vertices, 6)
+        agg = reference_aggregate(build_conv("sage", small_random, X))
+        manual = X @ layer.self_weight + agg @ layer.weight
+        np.testing.assert_allclose(out, manual, rtol=1e-4, atol=1e-5)
+
+    def test_self_weight_only_for_concat(self, rng):
+        sage = Layer.init("sage", 4, 2, rng)
+        with pytest.raises(ValueError, match="self_weight"):
+            Layer("sage", sage.message, sage.reduce, weight=sage.weight)
+        gcn = Layer.init("gcn", 4, 2, rng)
+        assert gcn.self_weight is None
+        with pytest.raises(ValueError, match="self_weight"):
+            Layer(
+                "gcn", gcn.message, gcn.reduce, weight=gcn.weight,
+                self_weight=sage.self_weight,
+            )
 
 
 class TestGAT:
@@ -158,10 +177,20 @@ class TestGAT:
         assert np.all(out >= wl.X.min() - 1e-5)
 
     def test_layer(self, small_random, rng):
-        layer = GATLayer.init(8, 6, rng)
+        layer = Layer.init("gat", 8, 6, rng)
         X = rng.standard_normal((small_random.num_vertices, 8), dtype=np.float32)
-        assert layer.forward(small_random, X).shape == (
-            small_random.num_vertices, 6,
+        out = layer.forward(small_random, X)
+        assert out.shape == (small_random.num_vertices, 6)
+        assert np.all(out >= 0)  # ReLU
+
+    def test_attention_bound_once(self, small_random, rng):
+        """init binds the attention vectors, so forwards are repeatable."""
+        layer = Layer.init("gat", 8, 6, rng)
+        scale = layer.message.scale
+        assert scale.a_src is not None and scale.a_src.shape == (6,)
+        X = rng.standard_normal((small_random.num_vertices, 8), dtype=np.float32)
+        np.testing.assert_array_equal(
+            layer.forward(small_random, X), layer.forward(small_random, X)
         )
 
 

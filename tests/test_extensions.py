@@ -7,50 +7,50 @@ import pytest
 from repro.graph import HeteroGraph, erdos_renyi, random_hetero, sample_degree_sequence
 from repro.graph.datasets import DATASETS
 from repro.kernels import TLPGNNKernel
-from repro.models import (
-    GATLayer,
-    MultiHeadGATLayer,
-    RGCNLayer,
-    build_rgcn_convs,
-    reference_aggregate,
-)
+from repro.models import functional as F
+from repro.models import reference_aggregate
+from repro.mp import Layer, build_model
+
+
+def multi_head(heads, graph, X, combine="concat"):
+    """Multi-head GAT as a composition: every head is one ``Layer("gat")``,
+    concatenated (hidden layers) or averaged (output layers)."""
+    outs = [head.forward(graph, X) for head in heads]
+    return np.concatenate(outs, axis=1) if combine == "concat" else np.mean(outs, axis=0)
 
 
 class TestMultiHeadGAT:
     def test_concat_shape(self, small_random, rng):
-        layer = MultiHeadGATLayer.init(8, 4, 3, rng)
+        heads = [Layer.init("gat", 8, 4, rng) for _ in range(3)]
         X = rng.standard_normal((small_random.num_vertices, 8), dtype=np.float32)
-        out = layer.forward(small_random, X)
+        out = multi_head(heads, small_random, X)
         assert out.shape == (small_random.num_vertices, 12)
 
     def test_mean_shape(self, small_random, rng):
-        layer = MultiHeadGATLayer.init(8, 4, 3, rng, combine="mean")
+        heads = [Layer.init("gat", 8, 4, rng) for _ in range(3)]
         X = rng.standard_normal((small_random.num_vertices, 8), dtype=np.float32)
-        assert layer.forward(small_random, X).shape == (
+        assert multi_head(heads, small_random, X, "mean").shape == (
             small_random.num_vertices, 4,
         )
 
     def test_single_head_matches_gat(self, small_random, rng):
-        head = GATLayer.init(8, 4, rng)
-        multi = MultiHeadGATLayer(heads=[head])
+        head = Layer.init("gat", 8, 4, rng)
         X = rng.standard_normal((small_random.num_vertices, 8), dtype=np.float32)
-        np.testing.assert_allclose(
-            multi.forward(small_random, X), head.forward(small_random, X)
-        )
+        for combine in ("concat", "mean"):
+            np.testing.assert_allclose(
+                multi_head([head], small_random, X, combine),
+                head.forward(small_random, X),
+            )
 
     def test_head_workloads_run_on_fused_kernel(self, small_random, rng):
-        layer = MultiHeadGATLayer.init(8, 16, 2, rng)
+        heads = [Layer.init("gat", 8, 16, rng) for _ in range(2)]
         X = rng.standard_normal((small_random.num_vertices, 8), dtype=np.float32)
         kernel = TLPGNNKernel()
-        for wl in layer.head_workloads(small_random, X):
+        for head in heads:
+            wl = head.workload(small_random, X)
+            assert wl.attention is not None
             stats, _ = kernel.analyze(wl)
             assert stats.atomic_ops == 0  # still one fused atomic-free kernel
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            MultiHeadGATLayer(heads=[])
-        with pytest.raises(ValueError):
-            MultiHeadGATLayer.init(4, 4, 1, rng, combine="sum")
 
 
 class TestHeteroGraph:
@@ -79,18 +79,25 @@ class TestHeteroGraph:
         assert merged.num_vertices == 50
 
     def test_rgcn_layer_matches_manual(self, hetero, rng):
+        """R-GCN = self transform + one Layer("rgcn") per relation graph,
+        equal to W_0 h + sum_r mean_r(h) W_r."""
         X = rng.standard_normal((50, 8), dtype=np.float32)
-        layer = RGCNLayer.init(hetero, 8, 4, rng)
-        out = layer.forward(hetero, X, activation=False)
-        manual = X @ layer.w_self
-        for name, wl in build_rgcn_convs(hetero, X).items():
-            manual = manual + reference_aggregate(wl) @ layer.w_rel[name]
+        w_self = F.xavier_uniform((8, 4), rng)
+        rel = {name: Layer.init("rgcn", 8, 4, rng) for name in hetero.relation_names}
+        out = F.linear(X, w_self)
+        for name, g in hetero.relations.items():
+            out = out + rel[name].forward(g, X, activation=False)
+        manual = X @ w_self
+        for name, g in hetero.relations.items():
+            agg = reference_aggregate(build_model("rgcn", g, X).workload())
+            manual = manual + agg @ rel[name].weight
         np.testing.assert_allclose(out, manual, rtol=1e-4, atol=1e-5)
 
     def test_per_relation_kernels_atomic_free(self, hetero, rng):
         X = rng.standard_normal((50, 16), dtype=np.float32)
         kernel = TLPGNNKernel()
-        for wl in build_rgcn_convs(hetero, X).values():
+        for g in hetero.relations.values():
+            wl = build_model("rgcn", g, X).workload()
             out = kernel.run(wl)
             np.testing.assert_allclose(
                 out, reference_aggregate(wl), rtol=1e-4, atol=1e-5

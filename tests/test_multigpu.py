@@ -6,6 +6,7 @@ import pytest
 from repro.graph import erdos_renyi, partition_kway
 from repro.models import build_conv, reference_aggregate
 from repro.models.convspec import ConvWorkload
+from repro.mp import gcn_norm
 from repro.multigpu import distribute_conv
 
 
@@ -28,11 +29,11 @@ class TestCorrectness:
     def test_gcn_norm_factorized(self, setup):
         g, X = setup
         expected = reference_aggregate(build_conv("gcn", g, X))
-        deg = g.in_degrees.astype(np.float64) + 1.0
-        inv = (1.0 / np.sqrt(deg)).astype(np.float32)
+        _, self_coeff = gcn_norm(g)  # self_coeff = 1/(d+1) = inv**2
+        inv = np.sqrt(self_coeff)
         res = distribute_conv(g, X, 3, src_scale=inv, dst_scale=inv)
         # add the (local) self-loop term
-        out = res.output + X / deg[:, None].astype(np.float32)
+        out = res.output + self_coeff[:, None] * X
         np.testing.assert_allclose(out, expected, rtol=1e-3, atol=1e-4)
 
     def test_custom_partition(self, setup):
