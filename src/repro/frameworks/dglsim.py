@@ -22,6 +22,7 @@ from ..kernels.base import feature_row_sectors, index_span_sectors
 from ..kernels.fusion import streaming_kernel_stats
 from ..lint import access
 from ..lint.access import KernelAccess
+from ..lint.dataflow import PlanSymbols
 from ..lint.effects import LaunchEnvelope, effect_table
 from ..mp import SpmmStage, build_model, dgl_stage_plan, model_features
 from ..obs.tracer import span
@@ -178,13 +179,7 @@ class DGLSystem(GNNSystem):
         # output extent from its item space ("n" / "e" / "nf") — the
         # declarations the whole-plan shape interpreter (SHAPE001-004)
         # verifies and the liveness analysis sizes the footprint with.
-        buf_shapes: dict[str, tuple[int, int]] = {
-            "feat": (n, Fdim),
-            "indptr": (n + 1, 1),
-            "indices": (E, 1),
-            "edge_vals": (E, 1),
-            "att": (n, 2),
-        }
+        buf_shapes = PlanSymbols(n=n, m=E, f=Fdim).contract_shapes()
 
         def shapes_for(rb, wb):
             names = set(rb) | {wb}

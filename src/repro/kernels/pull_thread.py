@@ -149,7 +149,7 @@ class PullThreadKernel(ConvKernel):
                 active = pos < ends
                 if not active.any():
                     break
-                sim.diverge(int(len(vs) - active.sum()) * (F + 1))
+                sim.diverge(int(32 - active.sum()) * (F + 1))
                 sim.warp_load(amap.indices_addr(pos[active]))
                 if e_s:
                     sim.warp_load(amap.edge_val_addr(pos[active]))

@@ -17,11 +17,12 @@ the declarative effect tables every kernel op carries:
   (RES001-RES004 errors, RES005 low-occupancy warning),
 * :mod:`~repro.lint.determinism` — atomic float reductions and rng reads
   as order-nondeterminism warnings (DET001/DET002),
-* :mod:`~repro.lint.dataflow` — whole-plan shape/dtype abstract
-  interpretation (SHAPE001-SHAPE004, errors) and liveness / peak-HBM
-  bounds (LIVE001 error, LIVE002 warning), with the ``dead_transients``
-  liveness export the optimizer's dead-intermediate elimination proves
-  its legality with,
+* :mod:`~repro.lint.dataflow` — the plan's one def-use index
+  (:class:`PlanDataflow`: every declared buffer access plus the producer
+  and consumer relations) that hazards, race scheduling, the verifier's
+  normal form and the optimizer's legality checks query, whole-plan
+  shape/dtype abstract interpretation (SHAPE001-SHAPE004, errors) and
+  liveness / peak-HBM bounds (LIVE001 error, LIVE002 warning),
 * :mod:`~repro.lint.sched` — cross-stream happens-before race detection
   over serving schedules (RACE001/RACE002 errors, RACE003 warning) plus
   the seeded vector-clock replay that pins the static verdicts,
@@ -51,12 +52,12 @@ from .access import (
     sector_class,
 )
 from .dataflow import (
-    BufferView,
+    BufferAccess,
     FootprintReport,
     LiveRange,
+    PlanDataflow,
     PlanSymbols,
     dead_transients,
-    infer_buffer_shapes,
     live_ranges,
     liveness_findings,
     peak_footprint,
@@ -107,13 +108,14 @@ __all__ = [
     "SECTOR_CLASSES",
     "AccessPattern",
     "Affine",
+    "BufferAccess",
     "BufferEffect",
-    "BufferView",
     "FootprintReport",
     "KernelAccess",
     "KernelEffects",
     "LaunchEnvelope",
     "LiveRange",
+    "PlanDataflow",
     "PlanSymbols",
     "RuleInfo",
     "ScheduledPlan",
@@ -135,7 +137,6 @@ __all__ = [
     "explain",
     "finding_rows",
     "hazard_findings",
-    "infer_buffer_shapes",
     "is_transient",
     "lint_plan",
     "lint_schedule",

@@ -47,6 +47,8 @@ from typing import Any
 
 from ..gpusim.config import V100, GPUSpec
 from ..gpusim.microsim import MicroSim
+from .dataflow import PlanSymbols
+from .effects import conv_read_buffers
 from .registry import make_finding
 from .report import Finding
 
@@ -267,20 +269,15 @@ def scatter(
 
 
 def conv_shapes(workload: Any) -> dict[str, tuple[int, int]]:
-    """Element shapes of the standard convolution buffers for ``workload``."""
+    """Element shapes of the standard convolution buffers for ``workload``:
+    the workload's contract table, kept to ``out`` and the buffers the
+    convolution reads."""
     g = workload.graph
-    n, e, f = g.num_vertices, g.num_edges, workload.feat_dim
-    shapes = {
-        "feat": (n, f),
-        "out": (n, f),
-        "indptr": (n + 1, 1),
-        "indices": (e, 1),
-    }
-    if workload.attention is not None:
-        shapes["att"] = (n, 2)
-    elif workload.edge_weights is not None:
-        shapes["edge_vals"] = (e, 1)
-    return shapes
+    contract = PlanSymbols(
+        n=int(g.num_vertices), m=int(g.num_edges), f=int(workload.feat_dim)
+    ).contract_shapes()
+    touched = ("out", *conv_read_buffers(workload))
+    return {b: shape for b, shape in contract.items() if b in touched}
 
 
 def conv_access(

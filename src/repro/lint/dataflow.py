@@ -1,7 +1,15 @@
-"""Whole-plan dataflow verification: shapes, dtypes, liveness, footprint.
+"""Whole-plan dataflow: the def-use index, shapes, liveness, footprint.
 
-The per-op analyses (hazards, resources, access) check each launch in
-isolation; this module checks the plan as a *program*.  Two analyses:
+The per-op analyses (resources, access) check each launch in isolation;
+this module checks the plan as a *program*.  :class:`PlanDataflow` is the
+plan's one def-use index — every effect-table access with its resolved
+shape, plus the producer and consumer relations per buffer — built in a
+single pass over the ops.  Every def-use fact the repo derives is a query
+over it: the hazards (HAZ001-HAZ003), the shape and liveness analyses
+below, the serving tier's shared inputs (:func:`~repro.lint.sched.
+default_shared`), the translation-validation closure
+(:func:`~repro.verify.normal.normalize_plan`) and the optimizer's
+dead-intermediate and fusion legality.  Two analyses live here:
 
 * a **shape/dtype abstract interpreter** — every buffer's element shape
   is resolved symbolically (in terms of the workload sizes ``n`` vertices,
@@ -31,10 +39,10 @@ isolation; this module checks the plan as a *program*.  Two analyses:
   - **LIVE002** (warning) — the peak is above 80% of HBM (allocator
     headroom is gone; fragmentation or a second resident plan kills it).
 
-:func:`live_ranges` / :func:`dead_transients` are exported to the
-optimizer: :class:`~repro.opt.rewrites.DeadIntermediateElimination`
-proves its legality with this liveness instead of an ad-hoc unread-
-``tmp:*`` scan.
+Liveness and :func:`dead_transients` use the index's one consumer
+relation (effect reads, atomics, read-role patterns and ``via`` index
+buffers), so a transient the optimizer may not delete is also live in the
+footprint.
 
 Like every lint module, nothing here imports :mod:`repro.plan` — the
 plan argument is duck-typed (``.ops`` with ``.name``/``.effects``/
@@ -43,6 +51,7 @@ plan argument is duck-typed (``.ops`` with ``.name``/``.effects``/
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from typing import Any
 
@@ -54,12 +63,12 @@ from .report import Finding
 __all__ = [
     "DTYPE_BYTES",
     "HBM_WARN_FRACTION",
-    "BufferView",
+    "BufferAccess",
     "FootprintReport",
     "LiveRange",
+    "PlanDataflow",
     "PlanSymbols",
     "dead_transients",
-    "infer_buffer_shapes",
     "live_ranges",
     "liveness_findings",
     "peak_footprint",
@@ -111,6 +120,18 @@ class PlanSymbols:
                 return name
         return str(elements)
 
+    def contract_shapes(self) -> dict[str, tuple[int, int]]:
+        """The standard-buffer shapes the workload implies (SHAPE004's
+        table, and the shapes every conv access table declares)."""
+        return {
+            "feat": (self.n, self.f),
+            "out": (self.n, self.f),
+            "indptr": (self.n + 1, 1),
+            "indices": (self.m, 1),
+            "att": (self.n, 2),
+            "edge_vals": (self.m, 1),
+        }
+
 
 def plan_symbols(plan: Any) -> PlanSymbols | None:
     """Extract the (n, m, f) symbol table from a duck-typed plan.
@@ -122,8 +143,8 @@ def plan_symbols(plan: Any) -> PlanSymbols | None:
     candidates += [getattr(op, "workload", None) for op in plan.ops]
     for wl in candidates:
         graph = getattr(wl, "graph", None)
-        if graph is None:
-            continue
+        if not hasattr(graph, "num_vertices"):
+            continue  # no workload, or a graph that declares no sizes
         return PlanSymbols(
             n=int(graph.num_vertices),
             m=int(graph.num_edges),
@@ -132,36 +153,20 @@ def plan_symbols(plan: Any) -> PlanSymbols | None:
     return None
 
 
-def _contract_shapes(sym: PlanSymbols) -> dict[str, tuple[int, int]]:
-    """The standard-buffer shapes the workload implies (SHAPE004's table)."""
-    return {
-        "out": (sym.n, sym.f),
-        "feat": (sym.n, sym.f),
-        "indptr": (sym.n + 1, 1),
-        "indices": (sym.m, 1),
-        "edge_vals": (sym.m, 1),
-        "att": (sym.n, 2),
-    }
-
-
 # ----------------------------------------------------------------------
-# per-op buffer views (the abstract state the interpreter walks)
+# the plan dataflow index: every def-use fact below is a query over it
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class BufferView:
-    """One op's resolved view of one buffer."""
+class BufferAccess:
+    """One declared access of one buffer by one op, in launch order."""
 
-    buffer: str
+    index: int  # position of the op in the plan
     op: str
+    buffer: str
     mode: str  # "read" | "write" | "atomic"
     dtype: str
+    exclusive: bool
     shape: tuple[int, int] | None  # None = statically unknown extent
-
-    @property
-    def elements(self) -> int | None:
-        if self.shape is None:
-            return None
-        return self.shape[0] * self.shape[1]
 
 
 def _resolve_shape(
@@ -182,30 +187,87 @@ def _resolve_shape(
         if spans:
             return (int(max(spans)), 1)
     if sym is not None and not is_transient(buffer):
-        return _contract_shapes(sym).get(buffer)
+        return sym.contract_shapes().get(buffer)
     return None
 
 
-def infer_buffer_shapes(plan: Any) -> list[BufferView]:
-    """Every op's resolved (buffer, mode, dtype, shape) view, in launch
-    order — the event stream both dataflow analyses interpret."""
-    sym = plan_symbols(plan)
-    views: list[BufferView] = []
-    for op in plan.ops:
-        eff = getattr(op, "effects", None)
-        if eff is None:
-            continue
-        for b in eff.buffers:
-            views.append(
-                BufferView(
-                    buffer=b.buffer,
-                    op=op.name,
-                    mode=b.mode,
-                    dtype=b.dtype,
-                    shape=_resolve_shape(op, b.buffer, sym),
+@dataclass(frozen=True)
+class PlanDataflow:
+    """A plan's buffer def-use relation, built in one pass over its ops.
+
+    ``accesses`` holds every effect-table access in launch order.  The
+    derived relations use one definition each: a *producer* writes or
+    atomically merges a buffer; a *consumer* reads it through an effect
+    read, an atomic RMW, a read-role access pattern or a ``via`` index
+    (the last two are uses only the access table declares).  Analyses
+    that follow fewer uses — HAZ003 and the normal form count effect
+    reads only — filter ``accesses`` themselves.
+    """
+
+    symbols: PlanSymbols | None
+    accesses: tuple[BufferAccess, ...]
+    #: names of the ops that declare no effect table
+    undeclared: tuple[str, ...]
+    #: buffer -> positions of the ops that write or atomically merge it
+    producers: Mapping[str, tuple[int, ...]]
+    #: buffer -> positions of the ops that consume it
+    consumers: Mapping[str, tuple[int, ...]]
+
+    @classmethod
+    def of(cls, plan: Any) -> PlanDataflow:
+        """Index a duck-typed plan (``.ops`` with ``.name``/``.effects``/
+        ``.access``; workloads for the symbol table)."""
+        sym = plan_symbols(plan)
+        accesses: list[BufferAccess] = []
+        producers: dict[str, list[int]] = {}
+        consumers: dict[str, list[int]] = {}
+        for i, op in enumerate(plan.ops):
+            eff = getattr(op, "effects", None)
+            for b in eff.buffers if eff is not None else ():
+                accesses.append(
+                    BufferAccess(
+                        index=i,
+                        op=op.name,
+                        buffer=b.buffer,
+                        mode=b.mode,
+                        dtype=b.dtype,
+                        exclusive=b.exclusive,
+                        shape=_resolve_shape(op, b.buffer, sym),
+                    )
                 )
-            )
-    return views
+                if b.mode != "read":
+                    producers.setdefault(b.buffer, []).append(i)
+                if b.mode != "write":
+                    consumers.setdefault(b.buffer, []).append(i)
+            access = getattr(op, "access", None)
+            for pat in access.patterns if access is not None else ():
+                for used in (pat.buffer if pat.role == "read" else None, pat.via):
+                    if used:
+                        consumers.setdefault(used, []).append(i)
+        return cls(
+            symbols=sym,
+            accesses=tuple(accesses),
+            undeclared=tuple(
+                op.name for op in plan.ops if getattr(op, "effects", None) is None
+            ),
+            producers={b: tuple(at) for b, at in producers.items()},
+            consumers={b: tuple(at) for b, at in consumers.items()},
+        )
+
+    def op_accesses(self, index: int) -> tuple[BufferAccess, ...]:
+        """The effect-table accesses of the op at ``index``."""
+        return tuple(a for a in self.accesses if a.index == index)
+
+    def dead_transients(self) -> frozenset[str]:
+        """Transients some op produces and no op consumes."""
+        return frozenset(
+            b for b in self.producers
+            if is_transient(b) and b not in self.consumers
+        )
+
+    def uses(self, buffer: str) -> tuple[int, ...]:
+        """Positions of every op that produces or consumes ``buffer``."""
+        return self.producers.get(buffer, ()) + self.consumers.get(buffer, ())
 
 
 # ----------------------------------------------------------------------
@@ -213,43 +275,46 @@ def infer_buffer_shapes(plan: Any) -> list[BufferView]:
 # ----------------------------------------------------------------------
 def shape_findings(plan: Any) -> list[Finding]:
     """Forward shape/dtype inference over one lowered plan."""
-    sym = plan_symbols(plan)
+    flow = PlanDataflow.of(plan)
+    sym = flow.symbols
+    render: Callable[[int], str] = sym.render if sym is not None else str
     findings: list[Finding] = []
 
     # SHAPE004: standard buffers must match the workload-derived contract
-    contract = _contract_shapes(sym) if sym is not None else {}
+    contract = sym.contract_shapes() if sym is not None else {}
     contract_flagged: set[str] = set()
 
-    #: buffer -> (elements, producing/first op, shape) established so far
-    env: dict[str, tuple[int, str, tuple[int, int]]] = {}
+    #: buffer -> (elements, producing/first op) established so far
+    env: dict[str, tuple[int, str]] = {}
     #: buffer -> (dtype, op that established it)
     dt_env: dict[str, tuple[str, str]] = {}
 
-    for view in infer_buffer_shapes(plan):
-        b, elements = view.buffer, view.elements
+    for view in flow.accesses:
+        b = view.buffer
 
         # dtype interpretation: a write fixes the buffer's dtype; any
         # later access under a different width is a silent reinterpret
         known = dt_env.get(b)
         if known is not None and known[0] != view.dtype:
             old_w, new_w = _dtype_bytes(known[0]), _dtype_bytes(view.dtype)
-            if new_w != old_w or known[0] != view.dtype:
-                kind = "narrowing" if new_w < old_w else "conflicting"
-                findings.append(
-                    make_finding(
-                        "SHAPE002",
-                        f"{kind} dtype on '{b}': '{known[1]}' established "
-                        f"{known[0]} ({old_w} B) but this op {view.mode}s it "
-                        f"as {view.dtype} ({new_w} B)",
-                        op=view.op,
-                        buffer=b,
-                    )
+            kind = "narrowing" if new_w < old_w else "conflicting"
+            findings.append(
+                make_finding(
+                    "SHAPE002",
+                    f"{kind} dtype on '{b}': '{known[1]}' established "
+                    f"{known[0]} ({old_w} B) but this op {view.mode}s it "
+                    f"as {view.dtype} ({new_w} B)",
+                    op=view.op,
+                    buffer=b,
                 )
+            )
         if view.mode in ("write", "atomic") and known is None:
             dt_env[b] = (view.dtype, view.op)
 
-        if elements is None:
+        if view.shape is None:
             continue
+        rows, cols = view.shape
+        elements = rows * cols
 
         if b in contract and b not in contract_flagged:
             want = contract[b]
@@ -258,12 +323,9 @@ def shape_findings(plan: Any) -> list[Finding]:
                 findings.append(
                     make_finding(
                         "SHAPE004",
-                        f"standard buffer '{b}' declared as "
-                        f"{view.shape[0]}x{view.shape[1]} but the workload "
-                        f"implies {want[0]}x{want[1]} "
-                        f"({sym.render(want[0] * want[1])} elements)"
-                        if view.shape is not None and sym is not None
-                        else f"standard buffer '{b}' contradicts the workload",
+                        f"standard buffer '{b}' declared as {rows}x{cols} "
+                        f"but the workload implies {want[0]}x{want[1]} "
+                        f"({render(want[0] * want[1])} elements)",
                         op=view.op,
                         buffer=b,
                     )
@@ -272,16 +334,11 @@ def shape_findings(plan: Any) -> list[Finding]:
 
         prior = env.get(b)
         if prior is None:
-            env[b] = (elements, view.op, view.shape or (elements, 1))
+            env[b] = (elements, view.op)
             continue
-        prior_elements, prior_op, _prior_shape = prior
+        prior_elements, prior_op = prior
         if elements == prior_elements:
             continue
-        rendered = (
-            f"{sym.render(prior_elements)} vs {sym.render(elements)}"
-            if sym is not None
-            else f"{prior_elements} vs {elements}"
-        )
         if (
             is_transient(b)
             and view.mode == "read"
@@ -291,9 +348,8 @@ def shape_findings(plan: Any) -> list[Finding]:
                 make_finding(
                     "SHAPE003",
                     f"under-allocated transient '{b}': '{prior_op}' "
-                    f"materialized {sym.render(prior_elements) if sym else prior_elements} "
-                    f"element(s) but this op reads "
-                    f"{sym.render(elements) if sym else elements}",
+                    f"materialized {render(prior_elements)} element(s) but "
+                    f"this op reads {render(elements)}",
                     op=view.op,
                     buffer=b,
                 )
@@ -303,14 +359,14 @@ def shape_findings(plan: Any) -> list[Finding]:
                 make_finding(
                     "SHAPE001",
                     f"shape disagreement on '{b}': '{prior_op}' declared "
-                    f"{rendered} elements",
+                    f"{render(prior_elements)} vs {render(elements)} elements",
                     op=view.op,
                     buffer=b,
                 )
             )
         # keep the larger extent so one bad op does not cascade
         if elements > prior_elements:
-            env[b] = (elements, view.op, view.shape or (elements, 1))
+            env[b] = (elements, view.op)
     return findings
 
 
@@ -333,45 +389,16 @@ class LiveRange:
         return self.first <= op_index <= self.last
 
 
-def _collect_readers(plan: Any) -> set[str]:
-    """Every buffer some op consumes: effect reads/atomics, access read
-    patterns, and index buffers backing an indirection."""
-    read: set[str] = set()
-    for op in plan.ops:
-        eff = getattr(op, "effects", None)
-        if eff is not None:
-            read.update(eff.reads)
-            read.update(eff.atomics)  # RMW also consumes
-        access = getattr(op, "access", None)
-        if access is not None:
-            for pat in access.patterns:
-                if pat.role == "read":
-                    read.add(pat.buffer)
-                via = getattr(pat, "via", None)
-                if via:
-                    read.add(via)
-    return read
-
-
 def dead_transients(plan: Any) -> frozenset[str]:
     """Transients some op writes but nothing ever reads.
 
     This is the liveness fact :class:`~repro.opt.rewrites.
-    DeadIntermediateElimination` needs: a transient whose live range
-    ends at its own definition has no consumer, so the launch that
-    materializes it (and nothing else) is removable.
+    DeadIntermediateElimination` needs: a transient with no consumer
+    (``via`` index uses count) has a live range that ends at its own
+    definition, so the launch that materializes it (and nothing else) is
+    removable.
     """
-    read = _collect_readers(plan)
-    written: set[str] = set()
-    for op in plan.ops:
-        eff = getattr(op, "effects", None)
-        if eff is None:
-            continue
-        written.update(eff.writes)
-        written.update(eff.atomics)
-    return frozenset(
-        b for b in written if is_transient(b) and b not in read
-    )
+    return PlanDataflow.of(plan).dead_transients()
 
 
 def live_ranges(plan: Any) -> list[LiveRange]:
@@ -382,38 +409,23 @@ def live_ranges(plan: Any) -> list[LiveRange]:
     transient is live from the op that materializes it through its last
     consumer (its def alone when nothing reads it).
     """
-    sym = plan_symbols(plan)
-    first: dict[str, int] = {}
-    last: dict[str, int] = {}
-    produced: set[str] = set()
+    flow = PlanDataflow.of(plan)
     sizes: dict[str, int] = {}
     dtypes: dict[str, str] = {}
-    for i, op in enumerate(plan.ops):
-        eff = getattr(op, "effects", None)
-        if eff is None:
-            continue
-        for b in eff.buffers:
-            first.setdefault(b.buffer, i)
-            last[b.buffer] = i
-            if b.mode in ("write", "atomic"):
-                produced.add(b.buffer)
-            shape = _resolve_shape(op, b.buffer, sym)
-            if shape is not None:
-                elements = shape[0] * shape[1]
-                sizes[b.buffer] = max(sizes.get(b.buffer, 0), elements)
-            dtypes.setdefault(b.buffer, b.dtype)
-    ranges = []
-    for b in first:
-        pinned = not is_transient(b) and (b not in produced or b == "out")
-        ranges.append(
-            LiveRange(
-                buffer=b,
-                first=first[b],
-                last=last[b],
-                bytes=sizes.get(b, 0) * _dtype_bytes(dtypes.get(b, "f32")),
-                pinned=pinned,
-            )
+    for a in flow.accesses:
+        if a.shape is not None:
+            sizes[a.buffer] = max(sizes.get(a.buffer, 0), a.shape[0] * a.shape[1])
+        dtypes.setdefault(a.buffer, a.dtype)
+    ranges = [
+        LiveRange(
+            buffer=b,
+            first=min(flow.uses(b)),
+            last=max(flow.uses(b)),
+            bytes=sizes.get(b, 0) * _dtype_bytes(dtype),
+            pinned=not is_transient(b) and (b not in flow.producers or b == "out"),
         )
+        for b, dtype in dtypes.items()
+    ]
     return sorted(ranges, key=lambda r: (r.first, r.buffer))
 
 

@@ -1,7 +1,7 @@
 """Race / hazard detection over a plan's declared effect tables.
 
-Walks the op list in launch order, building the def-use relation between
-ops through their named buffers:
+Queries the plan's def-use relation (:class:`~repro.lint.dataflow.
+PlanDataflow`) between ops through their named buffers:
 
 * **HAZ001** — an op with no effect table at all: nothing about it can be
   checked, which is itself an error (new kernels must declare).
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from .dataflow import PlanDataflow
 from .effects import is_transient
 from .registry import make_finding
 from .report import Finding
@@ -33,55 +34,59 @@ __all__ = ["hazard_findings"]
 
 def hazard_findings(plan: Any) -> list[Finding]:
     """Def-use and cache-safety hazards of one lowered plan."""
-    findings: list[Finding] = []
-    defined: set[str] = set()  # transients materialized by earlier ops
-    for op in plan.ops:
-        eff = op.effects
-        if eff is None:
+    flow = PlanDataflow.of(plan)
+    merged = {(a.index, a.buffer) for a in flow.accesses if a.mode == "atomic"}
+    findings = [
+        make_finding(
+            "HAZ001",
+            "op declares no effect table; hazard, resource and "
+            "determinism analysis are impossible",
+            op=name,
+        )
+        for name in flow.undeclared
+    ]
+    for a in flow.accesses:
+        # HAZ003 follows effect reads only: a producer must be an earlier op
+        if (
+            a.mode == "read"
+            and is_transient(a.buffer)
+            and not any(i < a.index for i in flow.producers.get(a.buffer, ()))
+        ):
             findings.append(
                 make_finding(
-                    "HAZ001",
-                    "op declares no effect table; hazard, resource and "
-                    "determinism analysis are impossible",
-                    op=op.name,
+                    "HAZ003",
+                    f"reads transient '{a.buffer}' that no earlier "
+                    "kernel wrote — read-after-write hazard across a "
+                    "fusion boundary (or use-before-def)",
+                    op=a.op,
+                    buffer=a.buffer,
                 )
             )
-            continue
-        atomics = set(eff.atomics)
-        for b in eff.buffers:
-            if b.mode == "read" and is_transient(b.buffer) and b.buffer not in defined:
-                findings.append(
-                    make_finding(
-                        "HAZ003",
-                        f"reads transient '{b.buffer}' that no earlier "
-                        "kernel wrote — read-after-write hazard across a "
-                        "fusion boundary (or use-before-def)",
-                        op=op.name,
-                        buffer=b.buffer,
-                    )
-                )
-            if b.mode == "write" and not b.exclusive and b.buffer not in atomics:
-                findings.append(
-                    make_finding(
-                        "HAZ002",
-                        f"non-exclusive write to '{b.buffer}' without a "
-                        "declared atomic merge — write-write race on "
-                        "shared output rows",
-                        op=op.name,
-                        buffer=b.buffer,
-                    )
-                )
-        if eff.reads_rng and plan.fingerprint is not None:
+        if (
+            a.mode == "write"
+            and not a.exclusive
+            and (a.index, a.buffer) not in merged
+        ):
             findings.append(
                 make_finding(
-                    "HAZ004",
-                    "op consumes host randomness inside a "
-                    "content-fingerprinted plan — a warm PlanCache hit "
-                    "would replay stale random state",
-                    op=op.name,
+                    "HAZ002",
+                    f"non-exclusive write to '{a.buffer}' without a "
+                    "declared atomic merge — write-write race on "
+                    "shared output rows",
+                    op=a.op,
+                    buffer=a.buffer,
                 )
             )
-        for b in eff.buffers:
-            if b.mode in ("write", "atomic"):
-                defined.add(b.buffer)
+    if plan.fingerprint is not None:
+        findings += [
+            make_finding(
+                "HAZ004",
+                "op consumes host randomness inside a "
+                "content-fingerprinted plan — a warm PlanCache hit "
+                "would replay stale random state",
+                op=op.name,
+            )
+            for op in plan.ops
+            if op.effects is not None and op.effects.reads_rng
+        ]
     return findings

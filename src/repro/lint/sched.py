@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..gpusim.streams import MultiStreamSimulator, StreamCompletion, StreamKernel
+from .dataflow import PlanDataflow
 from .effects import is_transient
 from .registry import make_finding
 from .report import Finding, LintReport, sort_findings
@@ -116,18 +117,11 @@ def default_shared(plan: Any) -> frozenset[str]:
     These are what concurrent batches genuinely share (graph structure,
     features); outputs and transients are allocated per submission.
     """
-    written: set[str] = set()
-    touched: set[str] = set()
-    for op in plan.ops:
-        eff = getattr(op, "effects", None)
-        if eff is None:
-            continue
-        for b in eff.buffers:
-            touched.add(b.buffer)
-            if b.mode in ("write", "atomic"):
-                written.add(b.buffer)
+    flow = PlanDataflow.of(plan)
     return frozenset(
-        b for b in touched if not is_transient(b) and b not in written
+        a.buffer
+        for a in flow.accesses
+        if not is_transient(a.buffer) and a.buffer not in flow.producers
     )
 
 
@@ -186,19 +180,15 @@ def _shared_accesses(
     modes: dict[str, dict[int, set[str]]] = {}
     reps: dict[str, dict[int, str]] = {}
     for entry in schedule.entries:
-        for op in entry.plan.ops:
-            eff = getattr(op, "effects", None)
-            if eff is None:
+        for a in PlanDataflow.of(entry.plan).accesses:
+            if a.buffer not in entry.shared:
                 continue
-            for b in eff.buffers:
-                if b.buffer not in entry.shared:
-                    continue
-                modes.setdefault(b.buffer, {}).setdefault(
-                    entry.stream, set()
-                ).add(b.mode)
-                reps.setdefault(b.buffer, {}).setdefault(
-                    entry.stream, f"{entry.label}/{op.name}"
-                )
+            modes.setdefault(a.buffer, {}).setdefault(
+                entry.stream, set()
+            ).add(a.mode)
+            reps.setdefault(a.buffer, {}).setdefault(
+                entry.stream, f"{entry.label}/{a.op}"
+            )
     return modes, reps
 
 

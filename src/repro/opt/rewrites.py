@@ -45,6 +45,7 @@ from ..kernels import (
     TLPGNNKernel,
 )
 from ..lint.access import KernelAccess
+from ..lint.dataflow import PlanDataflow
 from ..lint.effects import LaunchEnvelope, effect_table, is_transient
 from ..plan.ir import ComputeStep, ExecutionPlan, KernelOp
 from .passes import PassContext, PlanPass, modeled_runtime_s
@@ -155,11 +156,12 @@ def _with_kernel(plan: ExecutionPlan, idx: int, kernel: Any) -> ExecutionPlan:
 class DeadIntermediateElimination(PlanPass):
     """Remove modeled ops whose only effect is writing dead transients.
 
-    Legality comes from the whole-plan liveness analysis
-    (:func:`repro.lint.dataflow.dead_transients`): a transient is dead
-    when its live range ends at its own definition — nothing consumes it
-    through an effect read, an atomic RMW, a read-role access pattern,
-    or as the index buffer behind an indirection.  A launch is removable
+    Legality comes from the plan's def-use index
+    (:meth:`repro.lint.dataflow.PlanDataflow.dead_transients`): a
+    transient is dead when its live range ends at its own definition —
+    nothing consumes it through an effect read, an atomic RMW, a
+    read-role access pattern, or as the index buffer behind an
+    indirection.  A launch is removable
     when every buffer it mutates is an exclusive plain write to a dead
     transient.
 
@@ -174,35 +176,23 @@ class DeadIntermediateElimination(PlanPass):
     def apply(
         self, plan: ExecutionPlan, ctx: PassContext
     ) -> ExecutionPlan | None:
-        from ..lint.dataflow import dead_transients
-
-        current = plan
         ops = list(plan.ops)
         changed = False
         while True:
-            dead_bufs = dead_transients(current)
-            dead = None
+            flow = PlanDataflow.of(replace(plan, ops=ops))
+            dead = flow.dead_transients()
             for i, op in enumerate(ops):
-                if op.kind != "modeled" or op.effects is None:
+                if op.kind != "modeled":
                     continue
-                written = [
-                    b for b in op.effects.buffers if b.mode != "read"
-                ]
-                if not written:
-                    continue
-                if all(
-                    b.mode == "write"
-                    and is_transient(b.buffer)
-                    and b.buffer in dead_bufs
-                    for b in written
+                written = [a for a in flow.op_accesses(i) if a.mode != "read"]
+                if written and all(
+                    a.mode == "write" and a.buffer in dead for a in written
                 ):
-                    dead = i
+                    del ops[i]
+                    changed = True
                     break
-            if dead is None:
+            else:
                 break
-            del ops[dead]
-            changed = True
-            current = replace(current, ops=list(ops))
         if not changed:
             return None
         return replace(plan, ops=ops)
@@ -293,8 +283,10 @@ class ElementwiseFusion(PlanPass):
 
     * both ops are ``modeled`` with effect + access tables and no atomics;
     * the producer writes exactly one buffer, a ``tmp:*`` transient;
-    * the consumer reads it, and no *other* op in the plan reads or
-      writes it (including as a gather index buffer);
+    * the consumer reads it, and no *other* op in the plan produces or
+      consumes it (including as a gather index buffer) — the
+      :class:`~repro.lint.dataflow.PlanDataflow` producer and consumer
+      relations of ``t`` are exactly the pair;
     * neither op consumes host randomness.
 
     The fused op is one launch: the profit is a whole dispatch + launch
@@ -309,12 +301,14 @@ class ElementwiseFusion(PlanPass):
         self, plan: ExecutionPlan, ctx: PassContext
     ) -> ExecutionPlan | None:
         ops = list(plan.ops)
+        flow = PlanDataflow.of(plan)
         changed = False
         i = 0
         while i < len(ops) - 1:
-            fused = self._try_fuse(ops, i)
+            fused = self._try_fuse(ops, i, flow)
             if fused is not None:
                 ops[i : i + 2] = [fused]
+                flow = PlanDataflow.of(replace(plan, ops=list(ops)))
                 changed = True
                 i = max(i - 1, 0)  # the fused op may chain with its producer
             else:
@@ -324,7 +318,9 @@ class ElementwiseFusion(PlanPass):
         return replace(plan, ops=ops)
 
     @staticmethod
-    def _try_fuse(ops: list[KernelOp], i: int) -> KernelOp | None:
+    def _try_fuse(
+        ops: list[KernelOp], i: int, flow: PlanDataflow
+    ) -> KernelOp | None:
         a, b = ops[i], ops[i + 1]
         ae, aa = a.effects, a.access
         be, ba = b.effects, b.access
@@ -346,15 +342,20 @@ class ElementwiseFusion(PlanPass):
         if len(ae.writes) != 1:
             return None
         t = ae.writes[0]
-        if not is_transient(t) or t in ae.reads:
+        # t links only this pair: the producer is its one writer and the
+        # consumer its one reader (an index-buffer use counts as a read)
+        if (
+            not is_transient(t)
+            or t not in be.reads
+            or flow.producers[t] != (i,)
+            or set(flow.consumers[t]) != {i + 1}
+        ):
             return None
         # the producer must write t unit-owned/streamed — an indirect
         # (scattered) write breaks the unit alignment register fusion needs
         if any(
             p.buffer == t and p.row == "indirect" for p in aa.patterns
         ):
-            return None
-        if t not in be.reads or t in be.writes:
             return None
         # the consumer must read t *directly* (its own rows, streamed):
         # a gathered/indirect read of t needs other units' producer rows,
@@ -364,16 +365,6 @@ class ElementwiseFusion(PlanPass):
             if getattr(p, "via", None) == t:
                 return None
             if p.buffer == t and p.row == "indirect":
-                return None
-        for j, other in enumerate(ops):
-            if j in (i, i + 1) or other.effects is None:
-                continue
-            eff = other.effects
-            if t in eff.reads or t in eff.writes or t in eff.atomics:
-                return None
-            if other.access is not None and any(
-                getattr(p, "via", None) == t for p in other.access.patterns
-            ):
                 return None
         name = f"{a.name}+{b.name}"
 

@@ -35,7 +35,7 @@ from typing import Any
 
 import numpy as np
 
-from ..lint import Finding, is_transient, make_finding
+from ..lint import Finding, PlanDataflow, is_transient, make_finding
 
 __all__ = [
     "ORDER_EXACT",
@@ -242,49 +242,41 @@ def _ordering_class(
     return ORDER_EXACT, []
 
 
-def _dataflow_sources(ops: Any) -> tuple[tuple[str, ...], list[Finding]]:
-    """Backward dataflow closure from ``out`` over the op effect tables.
+def _dataflow_sources(flow: PlanDataflow) -> tuple[tuple[str, ...], list[Finding]]:
+    """Backward dataflow closure from ``out`` over the plan's producers.
 
-    Walks producer edges through transient buffers and canonicalizes
-    every non-transient read to its semantic class.  An op without an
-    effect table makes the closure unprovable (EQ001) — the same
-    condition HAZ001 flags, restated as an equivalence obstruction.
+    Walks producer edges through transient buffers, following effect
+    reads only, and canonicalizes every non-transient read to its
+    semantic class.  An op without an effect table makes the closure
+    unprovable (EQ001) — the same condition HAZ001 flags, restated as an
+    equivalence obstruction.
     """
-    findings: list[Finding] = []
-    tables = []
-    for op in ops:
-        eff = getattr(op, "effects", None)
-        if eff is None:
-            findings.append(
-                make_finding(
-                    "EQ001",
-                    f"op {op.name!r} carries no effect table: the "
-                    "dataflow closure over the plan cannot be derived",
-                    op=op.name,
-                )
-            )
-            continue
-        tables.append((op, eff))
+    findings = [
+        make_finding(
+            "EQ001",
+            f"op {name!r} carries no effect table: the "
+            "dataflow closure over the plan cannot be derived",
+            op=name,
+        )
+        for name in flow.undeclared
+    ]
     sources: set[str] = set()
-    targets = {"out"}
+    frontier, seen = ["out"], {"out"}
     visited: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for i, (_op, eff) in enumerate(tables):
-            produced = set(eff.writes) | set(eff.atomics)
-            if i in visited or not (produced & targets):
-                continue
+    while frontier:
+        for i in set(flow.producers.get(frontier.pop(), ())) - visited:
             visited.add(i)
-            changed = True
-            for b in eff.reads:
-                if is_transient(b):
-                    targets.add(b)
-                elif b not in targets:
-                    # a read of a buffer the closure itself produces is
-                    # accumulator re-read traffic (write-through merge),
-                    # not a dataflow input — schedule, not semantics
-                    sources.add(_SOURCE_CLASSES.get(b, b))
+            for a in flow.op_accesses(i):
+                # a read of the output the closure itself produces is
+                # accumulator re-read traffic (write-through merge), not
+                # a dataflow input — schedule, not semantics
+                if a.mode != "read" or a.buffer == "out":
+                    continue
+                if not is_transient(a.buffer):
+                    sources.add(_SOURCE_CLASSES.get(a.buffer, a.buffer))
+                elif a.buffer not in seen:
+                    seen.add(a.buffer)
+                    frontier.append(a.buffer)
     return tuple(sorted(sources)), findings
 
 
@@ -299,7 +291,7 @@ def normalize_plan(plan: Any) -> PlanNormalForm:
     compute = plan.compute
     workload = compute.workload
     ordering, findings = _ordering_class(compute, workload)
-    sources, flow_findings = _dataflow_sources(plan.ops)
+    sources, flow_findings = _dataflow_sources(PlanDataflow.of(plan))
     findings = list(findings) + flow_findings
     term = ProducerTerm(
         buffer="out",

@@ -12,6 +12,8 @@ about access shape, not tail effects.
 import numpy as np
 import pytest
 
+from repro.gpusim.microsim import MicroSim
+from repro.graph.csr import from_edge_list
 from repro.graph.generators import erdos_renyi, power_law
 from repro.kernels.edge_centric import EdgeCentricKernel
 from repro.kernels.edge_parallel_warp import EdgeParallelWarpKernel
@@ -70,6 +72,23 @@ def test_static_class_matches_measured_models(kernel, gname, which):
     if not kernel.supports(workload):
         pytest.skip(f"{kernel.name} does not support this workload")
     assert cross_validate_access(kernel, workload) == []
+
+
+@pytest.mark.parametrize("model", ["gcn", "gin", "sage"])
+@pytest.mark.parametrize("n", [4, 6])
+def test_pull_thread_on_equal_in_degrees_is_honest(model, n):
+    """Every vertex has in-degree 1, so no lane ever diverges on the
+    degree loop; the idle lanes of the partial warp are the masked lanes
+    both models must report alike."""
+    graph = from_edge_list([0] * n, list(range(n)), n)
+    X = np.random.default_rng(0).standard_normal((n, 8)).astype(np.float32)
+    workload = build_conv(model, graph, X)
+    kernel = PullThreadKernel()
+    assert cross_validate_access(kernel, workload) == []
+    sim = MicroSim()
+    kernel.trace(workload, sim)
+    stats, _ = kernel.analyze(workload)
+    assert sim.divergent_lanes == stats.divergent_lanes > 0
 
 
 # the Figure 7 story, statically: warp-per-vertex designs issue coalesced

@@ -213,6 +213,43 @@ def test_peak_footprint_counts_concurrently_live_buffers():
     assert "n*f" in report.expression and "m" in report.expression
 
 
+def test_via_only_consumer_keeps_the_index_buffer_live():
+    """A transient used only as a gather's ``via`` index is live through
+    that gather — the same consumer relation dead_transients uses."""
+    from repro.lint.access import gather
+
+    wl = _Workload(n=8, m=20, f=4)
+    gatherer = KernelOp(
+        name="gatherer", kind="modeled", analyze_fn=lambda s: None,
+        effects=effect_table(reads=("feat", "tmp:y"), writes=("out",),
+                             launch=ENV),
+        access=KernelAccess(
+            patterns=(
+                gather("feat", via="tmp:idx"),
+                lane_stream("tmp:y", row="flat"),
+                lane_stream("out", role="write", row="flat"),
+            ),
+            shapes={"feat": (8, 4), "tmp:y": (8, 4), "out": (8, 4)},
+        ),
+    )
+    ops = [
+        _op("indexer", effect_table(writes=("tmp:idx",), launch=ENV),
+            shapes={"tmp:idx": (20, 1)}),
+        _op("stage", effect_table(reads=("feat",), writes=("tmp:y",),
+                                  launch=ENV),
+            shapes={"feat": (8, 4), "tmp:y": (8, 4)}),
+        gatherer,
+    ]
+    plan = _plan(ops, workload=wl)
+    assert dead_transients(plan) == frozenset()
+    idx = {r.buffer: r for r in live_ranges(plan)}["tmp:idx"]
+    assert (idx.first, idx.last, idx.bytes) == (0, 2, 80)
+    report = peak_footprint(plan)
+    assert ("tmp:idx", 80) in report.resident
+    # feat + out pinned, tmp:y and tmp:idx live together at ops 1-2
+    assert report.peak_bytes == (32 + 32 + 32 + 20) * 4
+
+
 def test_live001_over_hbm_is_an_error():
     spec = replace(V100, dram_bytes=200)  # 336 B needed
     findings = liveness_findings(_footprint_plan(), spec)
